@@ -2,8 +2,8 @@
 path combinatorics, the verification harness, and a content-addressed
 result cache.
 
-Exit codes: 0 ok, 1 usage error, 2 verification failure (non-conjectural),
-3 internal assertion failure.
+Exit codes: 0 ok, 1 usage or arithmetic error (division by zero, a pole),
+2 verification failure (non-conjectural), 3 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -465,7 +465,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

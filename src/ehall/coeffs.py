@@ -7,12 +7,21 @@ coefficient appearing anywhere in the library is a QTScalar, including
 Laurent constants like (-qt)^(-j), whose negative exponents live in the
 denominator.
 
+A QTPoly coefficient is a plain ``int`` when it is integral and a
+``Fraction`` only when it is not: no coefficient is ever a float or a
+Fraction with denominator 1.  Integer-only arithmetic therefore stays in
+machine-friendly ints, and since ``str``, ``==`` and ``hash`` agree between
+the two types the wire format and memo keys are unaffected.  Reduction of
+a fraction with two non-constant sides is one cofactor call in sympy's
+sparse ring Z[q,t], after clearing coefficient denominators.
+
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class PoleError(ArithmeticError):
@@ -24,6 +33,46 @@ def _grlex_key(expt):
     return (eq + et, eq)
 
 
+def _coef(c):
+    """c as an int when integral, else as a Fraction."""
+    if c.__class__ is not Fraction:
+        if c.__class__ is int:
+            return c
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _from_terms(terms):
+    """QTPoly over an exponent -> int/Fraction dict, dropping zeros and
+    turning integral Fractions into ints."""
+    clean = {}
+    for e, c in terms.items():
+        if c:
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            clean[e] = c
+    res = QTPoly.__new__(QTPoly)
+    res.terms = clean
+    res._hash = None
+    return res
+
+
+def _denominator_lcm(terms):
+    scale = 1
+    for c in terms.values():
+        if c.__class__ is Fraction:
+            scale = lcm(scale, c.denominator)
+    return scale
+
+
+def _scaled(terms, scale):
+    """The coefficients times scale, a multiple of every denominator: ints."""
+    if scale == 1:
+        return terms
+    return {e: c * scale if c.__class__ is int else c.numerator * (scale // c.denominator)
+            for e, c in terms.items()}
+
+
 class QTPoly:
     """Sparse polynomial in q, t over Q.  Exponents are nonnegative."""
 
@@ -33,12 +82,12 @@ class QTPoly:
         if terms is None:
             terms = {}
         elif isinstance(terms, (int, Fraction)):
-            terms = {(0, 0): Fraction(terms)} if terms else {}
+            terms = {(0, 0): terms}
         clean = {}
         for (eq, et), c in terms.items():
             if eq < 0 or et < 0:
                 raise ValueError("QTPoly exponents must be nonnegative")
-            c = Fraction(c)
+            c = _coef(c)
             if c:
                 clean[(eq, et)] = c
         self.terms = clean
@@ -46,16 +95,16 @@ class QTPoly:
 
     @staticmethod
     def monomial(c, eq, et):
-        return QTPoly({(eq, et): Fraction(c)})
+        return QTPoly({(eq, et): c})
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QTPoly(other)
         if not isinstance(other, QTPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QTPoly(other)
         return self.terms == other.terms
 
     def __hash__(self):
@@ -64,19 +113,13 @@ class QTPoly:
         return self._hash
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QTPoly):
             other = QTPoly(other)
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = QTPoly.__new__(QTPoly)
-        res.terms = out
-        res._hash = None
-        return res
+            out[e] = get(e, 0) + c
+        return _from_terms(out)
 
     def __neg__(self):
         res = QTPoly.__new__(QTPoly)
@@ -85,32 +128,30 @@ class QTPoly:
         return res
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QTPoly):
             other = QTPoly(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
+        if not isinstance(other, QTPoly):
+            c0 = _coef(other)
             if not c0:
                 return QTPoly()
-            res = QTPoly.__new__(QTPoly)
-            res.terms = {e: c * c0 for e, c in self.terms.items()}
-            res._hash = None
-            return res
+            return _from_terms({e: c * c0 for e, c in self.terms.items()})
+        # multiply over Z and divide once: Fraction products are far dearer
+        s1 = _denominator_lcm(self.terms)
+        s2 = _denominator_lcm(other.terms)
+        t2 = _scaled(other.terms, s2).items()
         out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+        get = out.get
+        for (a1, b1), c1 in _scaled(self.terms, s1).items():
+            for (a2, b2), c2 in t2:
                 e = (a1 + a2, b1 + b2)
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = QTPoly.__new__(QTPoly)
-        res.terms = out
-        res._hash = None
-        return res
+                out[e] = get(e, 0) + c1 * c2
+        if s1 * s2 != 1:
+            d = s1 * s2
+            out = {e: Fraction(c, d) for e, c in out.items()}
+        return _from_terms(out)
 
     __rmul__ = __mul__
 
@@ -131,43 +172,12 @@ class QTPoly:
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
 
-    def degree(self):
-        return max((eq + et for eq, et in self.terms), default=-1)
-
     def is_constant(self):
-        return not self.terms or set(self.terms) == {(0, 0)}
+        terms = self.terms
+        return not terms or (len(terms) == 1 and (0, 0) in terms)
 
     def const(self):
-        return self.terms.get((0, 0), Fraction(0))
-
-    def divmod(self, other):
-        """Division with remainder by a single divisor, grlex order."""
-        if not other:
-            raise ZeroDivisionError("QTPoly division by zero")
-        (dq, dt), dc = other.leading()
-        quo = {}
-        rem = {}
-        cur = dict(self.terms)
-        while cur:
-            e = max(cur, key=_grlex_key)
-            c = cur.pop(e)
-            eq, et = e
-            if eq >= dq and et >= dt:
-                fe = (eq - dq, et - dt)
-                fc = c / dc
-                quo[fe] = quo.get(fe, 0) + fc
-                for (a, b), cc in other.terms.items():
-                    if (a, b) == (dq, dt):
-                        continue
-                    ee = (fe[0] + a, fe[1] + b)
-                    s = cur.get(ee, 0) - fc * cc
-                    if s:
-                        cur[ee] = s
-                    else:
-                        cur.pop(ee, None)
-            else:
-                rem[e] = c
-        return QTPoly(quo), QTPoly(rem)
+        return self.terms.get((0, 0), 0)
 
     def subs(self, vq, vt):
         """Evaluate at QTScalar values vq, vt."""
@@ -197,7 +207,7 @@ class QTPoly:
     def _shift_down(self, eq, et):
         if not eq and not et:
             return self
-        return QTPoly({(a - eq, b - et): c for (a, b), c in self.terms.items()})
+        return _from_terms({(a - eq, b - et): c for (a, b), c in self.terms.items()})
 
     def to_json(self):
         return [[str(c), e[0], e[1]] for e, c in sorted(self.terms.items())]
@@ -226,32 +236,57 @@ class QTPoly:
         return s
 
 
-_SYMPY_RING = None
+_ZZ_RING = None
 
 
-def _sympy_ring():
-    global _SYMPY_RING
-    if _SYMPY_RING is None:
-        from sympy import QQ
-        from sympy.polys.orderings import grlex
+def _zz_ring():
+    """sympy's sparse ring Z[q,t], built on first use.
+
+    Its term order only steers sympy's internal leading terms: the
+    canonical form applies grlex itself (see _monic), and under sympy's
+    default lex order a leading term is a plain max() over the exponents.
+    """
+    global _ZZ_RING
+    if _ZZ_RING is None:
+        from sympy import ZZ
         from sympy.polys.rings import ring
 
-        _SYMPY_RING = ring("q,t", QQ, order=grlex)
-    return _SYMPY_RING
+        _ZZ_RING = ring("q,t", ZZ)[0]
+    return _ZZ_RING
+
+
+def _to_zz(a: QTPoly, b: QTPoly):
+    """a and b as elements of Z[q,t], both scaled by the lcm of their
+    coefficient denominators."""
+    scale = lcm(_denominator_lcm(a.terms), _denominator_lcm(b.terms))
+    ring = _zz_ring()
+    return ring.from_dict(_scaled(a.terms, scale)), ring.from_dict(_scaled(b.terms, scale))
+
+
+def _from_zz(f):
+    """A Z[q,t] element as a QTPoly with int coefficients."""
+    return _from_terms({e: int(c) for e, c in f.items()})
+
+
+def _monic(num: QTPoly, den: QTPoly):
+    """(num, den) scaled so that den is monic under grlex."""
+    _, lc = den.leading()
+    if lc != 1:
+        inv = Fraction(1) / lc
+        num = num * inv
+        den = den * inv
+    return num, den
 
 
 def poly_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
-    """gcd of two QTPolys, delegated to sympy's sparse polynomial rings."""
+    """Monic gcd of two QTPolys, computed in sympy's sparse ring Z[q,t]."""
     if not a:
         return b
     if not b:
         return a
-    R, _, _ = _sympy_ring()
-    dom = R.domain
-    fa = R.from_dict({e: dom.convert(c) for e, c in a.terms.items()})
-    fb = R.from_dict({e: dom.convert(c) for e, c in b.terms.items()})
-    g = fa.gcd(fb)
-    return QTPoly({e: Fraction(c.numerator, c.denominator) for e, c in g.to_dict().items()})
+    fa, fb = _to_zz(a, b)
+    g = _from_zz(fa.gcd(fb))
+    return g * (Fraction(1) / g.leading()[1])
 
 
 class QTScalar:
@@ -290,14 +325,16 @@ class QTScalar:
 
     @staticmethod
     def from_fraction(c):
-        return QTScalar._raw(QTPoly(Fraction(c)), QTPoly(1))
+        return QTScalar._raw(QTPoly(c), QTPoly(1))
 
     @staticmethod
     def qt_monomial(c, eq, et):
         """c * q^eq * t^et with possibly negative exponents."""
-        num_e = (max(eq, 0), max(et, 0))
-        den_e = (max(-eq, 0), max(-et, 0))
-        return QTScalar(QTPoly({num_e: Fraction(c)}), QTPoly({den_e: Fraction(1)}))
+        num = QTPoly({(max(eq, 0), max(et, 0)): c})
+        if not num:
+            return QTScalar.zero()
+        # coprime monomials with a monic den: already canonical
+        return QTScalar._raw(num, QTPoly({(max(-eq, 0), max(-et, 0)): 1}))
 
     def __bool__(self):
         return bool(self.num)
@@ -345,17 +382,20 @@ class QTScalar:
             return NotImplemented
         if not self or not other:
             return QTScalar.zero()
-        # cross-reduce to keep intermediate products small
+        # Cross-reduce: with both operands reduced, gcd(n1 n2, d1 d2) = 1,
+        # and a product of monic polynomials is monic, so the result is
+        # already canonical.
         n1, d2 = _normalize(self.num, other.den)
         n2, d1 = _normalize(other.num, self.den)
-        return QTScalar(n1 * n2, d1 * d2)
+        return QTScalar._raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero QTScalar")
-        return QTScalar(self.den, self.num)
+        # num and den are coprime already: only the new den needs scaling
+        return QTScalar._raw(*_monic(self.den, self.num))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -443,39 +483,19 @@ def _normalize(num: QTPoly, den: QTPoly):
         raise ZeroDivisionError("QTScalar with zero denominator")
     if not num:
         return QTPoly(), QTPoly(1)
-    # cancel the common monomial factor
-    nq, nt = num._monomial_content()
-    dq, dt = den._monomial_content()
-    mq, mt = min(nq, dq), min(nt, dt)
-    if mq or mt:
-        num = num._shift_down(mq, mt)
-        den = den._shift_down(mq, mt)
-    if den.is_constant():
-        c = den.const()
-        if c != 1:
-            num = num * (1 / c)
-        return num, QTPoly(1)
-    if num.is_constant():
-        pass  # nothing to cancel beyond the monic scaling below
-    else:
-        q, r = num.divmod(den)
-        if not r:
-            return _normalize(q, QTPoly(1))
-        q, r = den.divmod(num)
-        if not r:
-            return _normalize(QTPoly(1), q)
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-            if den.is_constant():
-                return _normalize(num, den)
-    _, lc = den.leading()
-    if lc != 1:
-        inv = 1 / lc
-        num = num * inv
-        den = den * inv
-    return num, den
+    if not den.is_constant():
+        # cancel the common monomial factor, then any other common factor
+        nq, nt = num._monomial_content()
+        dq, dt = den._monomial_content()
+        mq, mt = min(nq, dq), min(nt, dt)
+        if mq or mt:
+            num = num._shift_down(mq, mt)
+            den = den._shift_down(mq, mt)
+        if not num.is_constant() and not den.is_constant():
+            fn, fd = _to_zz(num, den)
+            _, fn, fd = fn.cofactors(fd)
+            num, den = _from_zz(fn), _from_zz(fd)
+    return _monic(num, den)
 
 
 # Common constants

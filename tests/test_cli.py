@@ -119,6 +119,15 @@ def test_usage_errors(capsys):
     assert cli.main(["check", "no-such-check"]) == 1
 
 
+def test_arithmetic_errors_exit_1(capsys):
+    # division by zero and a pole under --at end in a message, not a traceback
+    assert cli.main(["expand", "s[2]/0"]) == 1
+    assert "error:" in capsys.readouterr().err
+    argv = ["theta", "--seed", "e[1]/(1-t)", "--ab=1,1", "--at", "t=1", "--no-cache"]
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # -- cache ---------------------------------------------------------------
 
 

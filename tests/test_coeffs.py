@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehall.coeffs import (
@@ -111,3 +111,140 @@ def test_as_fraction_and_predicates():
 def test_repr_stable():
     assert repr(QT_Q + QT_T) == "q+t"
     assert repr((QT_ONE / (QT_Q * QT_T))) in ("(1)/(qt)", "1/(qt)")
+
+
+# -- reference normalization ----------------------------------------------
+# The reduction used before the integer kernel, kept as an oracle: it works
+# on plain {(eq, et): Fraction} dicts, tries trial division both ways, and
+# otherwise divides by the monic gcd over QQ.  Its canonical form (coprime,
+# denominator monic under grlex) is unique, so the kernel must reproduce it
+# exactly.
+
+
+def _ref_lead(p):
+    e = max(p, key=lambda e: (e[0] + e[1], e[0]))
+    return e, p[e]
+
+
+def _ref_scale(p, c):
+    return {e: v * c for e, v in p.items()}
+
+
+def _ref_mul(p, r):
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in r.items():
+            e = (a1 + a2, b1 + b2)
+            out[e] = out.get(e, 0) + Fraction(c1) * c2
+    return out
+
+
+def _ref_divmod(p, d):
+    (dq, dt), dc = _ref_lead(d)
+    quo, rem, cur = {}, {}, dict(p)
+    while cur:
+        e, c = _ref_lead(cur)
+        del cur[e]
+        if e[0] >= dq and e[1] >= dt:
+            fe = (e[0] - dq, e[1] - dt)
+            fc = c / dc
+            quo[fe] = quo.get(fe, 0) + fc
+            for (a, b), cc in d.items():
+                if (a, b) == (dq, dt):
+                    continue
+                ee = (fe[0] + a, fe[1] + b)
+                s = cur.get(ee, 0) - fc * cc
+                if s:
+                    cur[ee] = s
+                else:
+                    cur.pop(ee, None)
+        else:
+            rem[e] = c
+    return quo, rem
+
+
+def _ref_gcd(a, b):
+    from sympy import QQ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import ring
+
+    R = ring("q,t", QQ, order=grlex)[0]
+    fa = R.from_dict({e: QQ(c.numerator, c.denominator) for e, c in a.items()})
+    fb = R.from_dict({e: QQ(c.numerator, c.denominator) for e, c in b.items()})
+    return {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in fa.gcd(fb).items()}
+
+
+def _ref_is_constant(p):
+    return set(p) <= {(0, 0)}
+
+
+def ref_normalize(num, den):
+    num = {e: Fraction(c) for e, c in num.items() if c}
+    den = {e: Fraction(c) for e, c in den.items() if c}
+    one = {(0, 0): Fraction(1)}
+    if not num:
+        return {}, one
+    mq = min(e[0] for e in list(num) + list(den))
+    mt = min(e[1] for e in list(num) + list(den))
+    num = {(a - mq, b - mt): c for (a, b), c in num.items()}
+    den = {(a - mq, b - mt): c for (a, b), c in den.items()}
+    if _ref_is_constant(den):
+        return _ref_scale(num, 1 / den[(0, 0)]), one
+    if not _ref_is_constant(num):
+        quo, rem = _ref_divmod(num, den)
+        if not rem:
+            return ref_normalize(quo, one)
+        quo, rem = _ref_divmod(den, num)
+        if not rem:
+            return ref_normalize(one, quo)
+        g = _ref_gcd(num, den)
+        if max(a + b for a, b in g) > 0:
+            num = _ref_divmod(num, g)[0]
+            den = _ref_divmod(den, g)[0]
+            if _ref_is_constant(den):
+                return ref_normalize(num, den)
+    _, lc = _ref_lead(den)
+    return _ref_scale(num, 1 / lc), _ref_scale(den, 1 / lc)
+
+
+def _ref_json(p):
+    return [[str(c), e[0], e[1]] for e, c in sorted(p.items())]
+
+
+def _assert_int_or_proper_fraction(p):
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction), c
+        assert not (type(c) is Fraction and c.denominator == 1), c
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+rational_polys = st.dictionaries(st.tuples(exponents, exponents), rationals, max_size=4).map(QTPoly)
+
+
+def _assert_matches_reference(x, num, den):
+    rnum, rden = ref_normalize(num, den)
+    assert x.to_json() == {"num": _ref_json(rnum), "den": _ref_json(rden)}
+    assert x.key() == (tuple(sorted(rnum.items())), tuple(sorted(rden.items())))
+    _assert_int_or_proper_fraction(x.num)
+    _assert_int_or_proper_fraction(x.den)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rational_polys, rational_polys.filter(bool), rational_polys.filter(bool))
+@example(QTPoly({(1, 0): 1}), QTPoly(3), QTPoly({(0, 1): 3, (0, 0): 1}))  # q/3: no float 1/3
+def test_normalization_matches_reference(a, b, g):
+    # a/b, and quotients with a planted common factor g
+    ag, bg = _ref_mul(a.terms, g.terms), _ref_mul(b.terms, g.terms)
+    cases = [(a.terms, b.terms), (ag, bg), (g.terms, bg), (ag, g.terms)]
+    for num, den in cases:
+        x = QTScalar(QTPoly(num), QTPoly(den))
+        _assert_matches_reference(x, num, den)
+        # products and inverses skip the final reduction; sums do not
+        z = QTScalar(b, g)
+        _assert_matches_reference(x * z, _ref_mul(x.num.terms, z.num.terms),
+                                  _ref_mul(x.den.terms, z.den.terms))
+        if x:
+            _assert_matches_reference(x.inverse(), x.den.terms, x.num.terms)
+        y = x + QTScalar(g)
+        _assert_int_or_proper_fraction(y.num)
+        _assert_int_or_proper_fraction(y.den)
