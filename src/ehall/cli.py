@@ -241,9 +241,13 @@ def cache_get(key: str):
         if entry.get("meta", {}).get("version") != CALIBRATION_VERSION:
             return None
         return entry["value"]
-    except (json.JSONDecodeError, KeyError, OSError) as exc:
-        print(f"warning: ignoring corrupt cache entry {key}: {exc}", file=sys.stderr)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        _warn_corrupt(key, exc)
         return None
+
+
+def _warn_corrupt(key: str, exc: Exception):
+    print(f"warning: ignoring corrupt cache entry {key}: {exc}", file=sys.stderr)
 
 
 def cache_put(key: str, value, millis: int = 0):
@@ -267,7 +271,10 @@ def _cached_symfun(tag, params, compute, use_cache):
     key = cache_key(tag, params)
     hit = cache_get(key)
     if hit is not None:
-        return SymFun.from_json(hit)
+        try:
+            return SymFun.from_json(hit)
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            _warn_corrupt(key, exc)  # recomputed and rewritten below
     t0 = time.monotonic()
     result = compute()
     cache_put(key, result.to_json(), int((time.monotonic() - t0) * 1000))
@@ -360,17 +367,9 @@ def _cmd_ct(args):
 
 def _cmd_check(args):
     names = sorted(checks.CHECKS) if args.name == "all" else [args.name]
-    threads = int(os.environ.get("EHALL_THREADS", "1"))
     verdicts = []
-    if threads > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for vs in pool.map(lambda n: checks.run_check(n, args.grid), names):
-                verdicts.extend(vs)
-    else:
-        for n in names:
-            verdicts.extend(checks.run_check(n, args.grid))
+    for n in names:
+        verdicts.extend(checks.run_check(n, args.grid))
     report = checks.report_json(verdicts)
     if args.report:
         with open(args.report, "w") as fh:

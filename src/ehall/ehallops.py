@@ -16,6 +16,7 @@ from math import gcd
 
 from . import symfun
 from .coeffs import QT_M, QT_ONE, QTScalar
+from .macdonald import nabla
 from .symfun import Alphabet, SymFun, mul, plethys
 
 #: bump when any operator convention changes, so cached results invalidate
@@ -171,8 +172,6 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
     if g is None:
         g = SymFun.one("p")
     if a < 0:
-        from .macdonald import nabla  # deferred: macdonald builds on this module
-
         return nabla(theta(a + b, b, f, nabla(g)), power=-1)
     out = SymFun.zero("p")
     for comp in f.degree_components().values():

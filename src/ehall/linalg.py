@@ -35,25 +35,6 @@ def _pivot_row(rows, col, start):
     return best
 
 
-def solve(matrix, rhs):
-    """Solve A x = b for square exact A; raises on singular input."""
-    n = len(matrix)
-    rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        p = _pivot_row(rows, c, c)
-        if p is None:
-            raise ValueError("singular matrix")
-        rows[c], rows[p] = rows[p], rows[c]
-        piv = rows[c][c]
-        for r in range(n):
-            if r == c or _is_zero(rows[r][c]):
-                continue
-            factor = rows[r][c] / piv
-            for j in range(c, n + 1):
-                rows[r][j] = rows[r][j] - factor * rows[c][j]
-    return [rows[i][n] / rows[i][i] for i in range(n)]
-
-
 def inverse(matrix):
     """Exact inverse of a square matrix."""
     n = len(matrix)

@@ -1,20 +1,34 @@
 """Modified Macdonald polynomials and the nabla operator.
 
-The H~_mu of degree n are computed as the joint eigenbasis of D_0 acting
-on degree-n symmetric functions: the eigenvalue attached to mu is
-1 - M B_mu(q,t) with B_mu the diagram generating function, each
-eigenspace is checked to be one-dimensional, and each eigenvector is
-normalized so the coefficient of s_(n) equals 1.  nabla then scales
-H~_mu by t^n(mu) q^n(mu').
+H~_mu is built from the Haglund-Haiman-Loehr formula (J. AMS 18 (2005),
+arXiv:math/0409538): the coefficient of m_lam in H~_mu is the sum of
+q^inv(sigma) t^maj(sigma) over the fillings sigma of the diagram of mu
+with content lam (lam_1 ones, lam_2 twos, ...).  Only integer arithmetic
+is involved; the m-expansion is then converted to the s basis.
+
+Conventions:
+  * Diagram: French notation, row i (bottom row i = 1) holds the cells
+    (i, 1..mu_i).  arm(u) counts the cells right of u in its row, leg(u)
+    the cells above u in its column.
+  * Reading order: rows from top to bottom, each row left to right.
+  * A descent is a cell u = (i, j), i >= 2, with sigma(u) > sigma(i-1, j);
+    maj = sum over descents of leg(u) + 1.
+  * Two cells attack if they share a row, or if they lie in rows i and
+    i-1 with the upper cell strictly right of the lower one.  inv is the
+    number of attacking pairs (u, v), u before v in reading order, with
+    sigma(u) > sigma(v), minus the sum over descents of arm(u).
+
+The result satisfies D_0 H~_mu = (1 - M B_mu) H~_mu with B_mu the diagram
+generating function, and <H~_mu, s_(n)> = 1; the tests check both against
+the D_0 eigenvector route.  nabla scales H~_mu by t^n(mu) q^n(mu').
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import linalg, shapes, symfun
-from .coeffs import QT_M, QT_ONE, QT_ZERO, QTScalar
-from .ehallops import apply_D
+from . import linalg, shapes
+from .coeffs import QT_M, QT_ONE, QT_ZERO, QTPoly, QTScalar
 from .symfun import SymFun
 
 
@@ -32,15 +46,56 @@ def d0_eigenvalue(mu) -> QTScalar:
     return QT_ONE - QT_M * b_mu(mu)
 
 
-@lru_cache(maxsize=None)
-def _d0_matrix(n: int):
-    """Matrix of D_0 on the Schur basis at degree n (columns act on s_lam)."""
-    parts = shapes.partitions_of(n)
-    cols = []
-    for lam in parts:
-        image = apply_D(0, symfun.s_(lam)).convert("s")
-        cols.append([image.terms.get(nu, QT_ZERO) for nu in parts])
-    return [[cols[j][i] for j in range(len(parts))] for i in range(len(parts))]
+def _reading_order(mu):
+    """The cells of mu in reading order, as (attackers, above) pairs.
+
+    attackers are the reading positions of the earlier cells that attack
+    the cell.  above is None at the top of a column, else the position of
+    the cell u above with arm(u) and leg(u) + 1: u is a descent when its
+    value is larger.
+    """
+    conj = shapes.conjugate(mu)
+    pos = {}
+    for i in range(len(mu), 0, -1):
+        for j in range(1, mu[i - 1] + 1):
+            pos[i, j] = len(pos)
+    steps = []
+    for i, j in pos:
+        attackers = [pos[i, c] for c in range(1, j)]
+        if i < len(mu):
+            attackers += [pos[i + 1, c] for c in range(j + 1, mu[i] + 1)]
+        above = (pos[i + 1, j], mu[i] - j, conj[j - 1] - i) if (i + 1, j) in pos else None
+        steps.append((attackers, above))
+    return steps
+
+
+def _hhl_coefficient(mu, lam) -> QTPoly:
+    """Sum of q^inv t^maj over the fillings of mu with content lam."""
+    steps = _reading_order(mu)
+    counts = list(lam)
+    values = [0] * len(steps)
+    total = {}
+
+    def fill(k, inv, maj):
+        if k == len(steps):
+            total[inv, maj] = total.get((inv, maj), 0) + 1
+            return
+        attackers, above = steps[k]
+        for v, left in enumerate(counts):
+            if not left:
+                continue
+            counts[v] = left - 1
+            values[k] = v
+            di = sum(1 for a in attackers if values[a] > v)
+            dm = 0
+            if above is not None and values[above[0]] > v:
+                di -= above[1]
+                dm = above[2]
+            fill(k + 1, inv + di, maj + dm)
+            counts[v] = left
+
+    fill(0, 0, 0)
+    return QTPoly(total)
 
 
 @lru_cache(maxsize=None)
@@ -49,26 +104,12 @@ def eigenbasis(n: int):
     parts = shapes.partitions_of(n)
     if n == 0:
         return {(): SymFun.one("s")}
-    mat = _d0_matrix(n)
-    k = len(parts)
-    seen = {}
     out = {}
     for mu in parts:
-        ev = d0_eigenvalue(mu)
-        key = ev.key()
-        if key in seen:
-            raise AssertionError(f"repeated D_0 eigenvalue for {mu} and {seen[key]}")
-        seen[key] = mu
-        shifted = [[mat[i][j] - ev if i == j else mat[i][j] for j in range(k)] for i in range(k)]
-        kernel = linalg.nullspace(shifted)
-        if len(kernel) != 1:
-            raise AssertionError(f"eigenspace for {mu} has dimension {len(kernel)}")
-        vec = kernel[0]
-        top = vec[parts.index((n,))]
-        if not top:
-            raise AssertionError(f"H~_{mu} has no s_({n}) component")
-        inv = top.inverse()
-        out[mu] = SymFun("s", {parts[i]: vec[i] * inv for i in range(k) if vec[i]})
+        h = SymFun("m", {lam: _hhl_coefficient(mu, lam) for lam in parts})
+        s = h.convert("s").terms
+        # keep the terms in partitions_of(n) order, which convert does not
+        out[mu] = SymFun("s", {lam: s[lam] for lam in parts if lam in s})
     return out
 
 

@@ -16,14 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-import threading
 
 from . import linalg, shapes
 from .coeffs import QT_ONE, QT_ZERO, QTScalar
 
 BASES = "mehpsq"
-
-_cache_lock = threading.RLock()
 
 
 class TruncationError(ValueError):
@@ -321,11 +318,10 @@ class SymFun:
             raise ValueError(f"unknown basis {target!r}")
         if target == self.basis:
             return self
-        with _cache_lock:
-            p = self._to_p()
-            if target == "p":
-                return p
-            return p._from_p(target)
+        p = self._to_p()
+        if target == "p":
+            return p
+        return p._from_p(target)
 
     def _to_p(self):
         b = self.basis
@@ -521,8 +517,7 @@ def expand_in_q(f: SymFun) -> SymFun:
     out = {}
     for d, comp in f.convert("p").degree_components().items():
         parts = shapes.partitions_of(d)
-        with _cache_lock:
-            inv = _q_inverse(d)
+        inv = _q_inverse(d)
         vec = [comp.terms.get(nu, QT_ZERO) for nu in parts]
         for i, mu in enumerate(parts):
             c = QT_ZERO

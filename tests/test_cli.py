@@ -156,6 +156,30 @@ def test_cache_corrupt_entry_recomputed(tmp_path, monkeypatch, capsys):
     assert rc == 0 and out1 == out2
 
 
+@pytest.mark.parametrize("entry", [
+    {"value": 5},
+    {"value": {"basis": "s", "terms": [[[2], 1]]}},
+    {"value": {"basis": "x", "terms": []}},
+    [1, 2],
+])
+def test_cache_malformed_value_recomputed(tmp_path, monkeypatch, capsys, entry):
+    # valid JSON of the current version whose value is not a SymFun
+    monkeypatch.setenv("EHALL_CACHE_DIR", str(tmp_path))
+    args = ["nabla", "e[2]", "--basis", "s"]
+    rc, out1 = _run(capsys, *args)
+    (path,) = [tmp_path / f for f in os.listdir(tmp_path) if f.endswith(".json")]
+    if isinstance(entry, dict):
+        entry["meta"] = {"version": cli.CALIBRATION_VERSION, "millis": 0}
+    path.write_text(json.dumps(entry))
+    assert cli.main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out1 and "ignoring corrupt cache entry" in captured.err
+    # the entry was rewritten: the next run hits it without a warning
+    assert SymFun.from_json(json.loads(path.read_text())["value"])
+    assert cli.main(args) == 0
+    assert capsys.readouterr() == (out1, "")
+
+
 def test_cache_key_includes_calibration():
     k1 = cli.cache_key("theta", {"x": 1})
     k2 = cli.cache_key("theta", {"x": 2})

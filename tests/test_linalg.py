@@ -2,12 +2,11 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehall import linalg
-from ehall.coeffs import QT_ONE, QT_Q, QT_T, QT_ZERO, QTScalar
+from ehall.coeffs import QT_Q, QT_T, QT_ZERO
 
 entries = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -32,21 +31,6 @@ def test_inverse_round_trip(rows):
         for j in range(n):
             s = sum(rows[i][k] * inv[k][j] for k in range(n))
             assert s == (1 if i == j else 0)
-
-
-def test_solve_qt_entries():
-    a = [[QT_Q, QT_ONE], [QT_ONE, QT_T]]
-    rhs = [QT_Q * QT_T - QT_ONE, QT_ZERO]
-    x = linalg.solve(a, rhs)
-    # verify by substitution
-    assert a[0][0] * x[0] + a[0][1] * x[1] == rhs[0]
-    assert a[1][0] * x[0] + a[1][1] * x[1] == rhs[1]
-
-
-def test_solve_singular_raises():
-    with pytest.raises(ValueError):
-        linalg.solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
-                     [Fraction(1), Fraction(1)])
 
 
 def test_nullspace():

@@ -1,6 +1,9 @@
 """Modified Macdonald eigenbasis and the nabla eigenoperator."""
 
-from ehall import shapes, symfun
+from math import factorial
+
+from ehall import linalg, shapes, symfun
+from ehall.checks import at_qt1, delta_dim
 from ehall.ehallops import apply_D, theta
 from ehall.macdonald import (
     b_mu,
@@ -10,8 +13,8 @@ from ehall.macdonald import (
     nabla,
     nabla_eigenvalue,
 )
-from ehall.coeffs import QT_ONE, QT_Q, QT_T, QTScalar
-from ehall.symfun import SymFun, e_, h_, s_
+from ehall.coeffs import QT_ONE, QT_Q, QT_T, QT_ZERO, QTScalar
+from ehall.symfun import SymFun, e_, h_, s_, specialize_coeffs
 
 
 def test_degree_two_eigenbasis():
@@ -75,3 +78,80 @@ def test_diagonal_harmonics_dimension():
     for n in range(1, 5):
         val = delta_dim(at_qt1(nabla(e_(n)))).as_fraction()
         assert val == (n + 1) ** (n - 1)
+
+
+# -- the D_0 eigenvector route, kept as an oracle for the HHL formula ------
+
+
+def _d0_matrix(n):
+    """Matrix of D_0 on the Schur basis at degree n (columns act on s_lam)."""
+    parts = shapes.partitions_of(n)
+    cols = []
+    for lam in parts:
+        image = apply_D(0, s_(lam)).convert("s")
+        cols.append([image.terms.get(nu, QT_ZERO) for nu in parts])
+    return [[cols[j][i] for j in range(len(parts))] for i in range(len(parts))]
+
+
+def _nullspace_eigenbasis(n):
+    """H~_mu as the kernel of D_0 - (1 - M B_mu), normalized at s_(n)."""
+    parts = shapes.partitions_of(n)
+    if n == 0:
+        return {(): SymFun.one("s")}
+    mat = _d0_matrix(n)
+    k = len(parts)
+    out = {}
+    for mu in parts:
+        ev = d0_eigenvalue(mu)
+        shifted = [[mat[i][j] - ev if i == j else mat[i][j] for j in range(k)] for i in range(k)]
+        (vec,) = linalg.nullspace(shifted)  # each eigenspace is a line
+        inv = vec[parts.index((n,))].inverse()
+        out[mu] = SymFun("s", {parts[i]: vec[i] * inv for i in range(k) if vec[i]})
+    return out
+
+
+def test_eigenbasis_matches_nullspace_oracle():
+    for n in range(6):
+        oracle = _nullspace_eigenbasis(n)
+        basis = eigenbasis(n)
+        assert list(basis) == list(oracle)
+        for mu, H in basis.items():
+            assert H.to_json() == oracle[mu].to_json()
+            assert list(H.terms) == list(oracle[mu].terms)
+
+
+def test_eigen_relation_degree_6():
+    for mu, H in eigenbasis(6).items():
+        assert apply_D(0, H) == H.scale(d0_eigenvalue(mu))
+
+
+def test_qt_duality():
+    # H~_mu(q,t) = H~_mu'(t,q)
+    swap = {"q": QT_T, "t": QT_Q}
+    for n in range(1, 7):
+        basis = eigenbasis(n)
+        for mu, H in basis.items():
+            assert specialize_coeffs(H, swap) == basis[shapes.conjugate(mu)]
+
+
+def _count_standard_tableaux(lam):
+    """f^lam by the hook length formula."""
+    conj = shapes.conjugate(lam)
+    hooks = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            hooks *= (part - j) + (conj[j] - i) - 1
+    return factorial(sum(lam)) // hooks
+
+
+def test_schur_coefficients_at_q_t_1():
+    # H~_mu(x; 1, 1) = h_1^n = sum over lam of f^lam s_lam
+    for n in range(1, 7):
+        for H in eigenbasis(n).values():
+            coeffs = at_qt1(H).terms
+            for lam in shapes.partitions_of(n):
+                assert coeffs[lam].as_fraction() == _count_standard_tableaux(lam)
+
+
+def test_diagonal_harmonics_dimension_degree_6():
+    assert delta_dim(at_qt1(nabla(e_(6)))).as_fraction() == 7**5
