@@ -60,10 +60,6 @@ def _positive_in(f: SymFun, basis: str, name: str, params) -> Verdict:
         for coeff in c.num.terms.values():
             if coeff < 0 or coeff.denominator != 1:
                 return Verdict(name, params, "fails", (mu, repr(c)), "negative or fractional coefficient")
-        den = c.den.const()
-        if den is not None and den != 1:
-            # constant but non-unit denominator
-            return Verdict(name, params, "fails", (mu, repr(c)), "fractional coefficient")
     return Verdict(name, params, "holds")
 
 
@@ -281,8 +277,7 @@ def _check_incl_eh_bar(limit):
         lhs = bar(e_mn(m, n - 1))
         rhs = bar(h_mn_normalized(m, n))
         s = max_q_shift(lhs, rhs)
-        v = Verdict("incl-eh-bar", {"m": m, "n": n},
-                    "reported" if s is not None else "reported",
+        v = Verdict("incl-eh-bar", {"m": m, "n": n}, "reported",
                     detail=f"maximal shift {s}; beta'(staircase prediction) "
                            f"{shift_alpha_prime(m, n) - gcd(m, n) + 1}")
         if s is None:

@@ -168,7 +168,7 @@ class _Parser:
         if basis in "smehpq":
             if basis == "q":
                 return symfun.q_mu(mu)
-            return SymFun(basis if basis != "q" else "q", {mu: QT_ONE})
+            return SymFun(basis, {mu: QT_ONE})
         raise ParseError(f"unknown basis {basis!r}")
 
 

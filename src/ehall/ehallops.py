@@ -6,6 +6,11 @@ Conventions (fixed once, validated by the test suite):
   * Q_(0,l) is multiplication by q_l and Q_(1,0) = D_0.
   * For other bidegrees, Q_(m,n) = (1/M) [Q_(k,l), Q_(m-k,n-l)] with
     M = (1-t)(1-q) and the split (k,l) chosen canonically (see q_split).
+
+f -> Theta_(a,b)(f)(1) is linear in f, so theta with the default argument
+g = 1 combines cached columns, one per (a, b, basis, lambda): the image of
+the single basis element lambda.  An explicit g (and a < 0, which
+transports g along nabla) takes the direct route on the whole of f.
 """
 
 from __future__ import annotations
@@ -150,10 +155,6 @@ def apply_Q(m: int, n: int, f: SymFun) -> SymFun:
     return result
 
 
-def clear_memo():
-    _apply_memo.clear()
-
-
 # ---------------------------------------------------------------------------
 # theta operators
 # ---------------------------------------------------------------------------
@@ -166,13 +167,33 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
     by the product of the commuting operators Q_(a mu_i, b mu_i).  For
     a < 0 the operator is transported along nabla:
     Theta_(a,b) = nabla^(-1) Theta_(a+b,b) nabla.
+
+    With g = 1 and a >= 0 the result is sum_lambda f[lambda] times the
+    cached column Theta_(a,b)(basis element lambda)(1); an explicit g is
+    applied to the whole of f directly.
     """
     if b < 1:
         raise ValueError("theta needs b >= 1")
-    if g is None:
-        g = SymFun.one("p")
     if a < 0:
+        if g is None:
+            g = SymFun.one("p")
         return nabla(theta(a + b, b, f, nabla(g)), power=-1)
+    if g is not None:
+        return _theta_direct(a, b, f, g)
+    out = SymFun.zero("p")
+    for mu, c in f.terms.items():
+        out = out + _theta_column(a, b, f.basis, mu).scale(c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _theta_column(a: int, b: int, basis: str, mu: tuple) -> SymFun:
+    """Theta_(a,b)(basis element mu)(1), for a >= 0."""
+    return _theta_direct(a, b, SymFun(basis, {mu: QT_ONE}), SymFun.one("p"))
+
+
+def _theta_direct(a: int, b: int, f: SymFun, g: SymFun) -> SymFun:
+    """Theta_(a,b)(f)(g) for a >= 0, through the q_mu expansion of f."""
     out = SymFun.zero("p")
     for comp in f.degree_components().values():
         for mu, c in symfun.expand_in_q(comp).terms.items():

@@ -1,9 +1,13 @@
 """Command-line interface: expression grammar, subcommands, cache, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehall import cli
 from ehall.coeffs import QT_ONE, QT_Q, QT_T, QTScalar
@@ -126,6 +130,53 @@ def test_arithmetic_errors_exit_1(capsys):
     argv = ["theta", "--seed", "e[1]/(1-t)", "--ab=1,1", "--at", "t=1", "--no-cache"]
     assert cli.main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+#: grammar tokens: digits 1-3, scalars, basis letters, operators, brackets,
+#: whole generators and opened ones (their index is whatever follows)
+_TOKENS = list("123qtsmehp+-*/^()[],") + [f"{b}[" for b in "smehpq"]
+_GENERATORS = [f"{b}[{i}]" for b in "smehpq" for i in ("1", "2", "21", "1,1")]
+
+
+def _degree_bound(tokens):
+    """Upper bound on the degree of any symmetric function the text builds.
+
+    Whole generators count their index; a bare integer counts when it
+    follows an open '[' through integers and commas only (it may be a part);
+    each '^' may multiply a degree by its exponent, at most 3.
+    """
+    degree, carets, in_index = 0, 0, False
+    for tok in tokens:
+        if tok in _GENERATORS:
+            degree += sum(int(ch) for ch in tok if ch.isdigit())
+        elif tok.isdigit() and in_index:
+            degree += int(tok)
+        carets += tok == "^"
+        in_index = tok.endswith("[") or (in_index and (tok.isdigit() or tok == ","))
+    return degree * 3**carets
+
+
+def _cheap(tokens):
+    """Keep the tokens that hold every prefix to degree 6 (a few ms)."""
+    kept = []
+    for tok in tokens:
+        if _degree_bound(kept + [tok]) <= 6:
+            kept.append(tok)
+    return " ".join(kept)
+
+
+_EXPRESSIONS = st.lists(st.sampled_from(_TOKENS + _GENERATORS), max_size=12).map(_cheap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXPRESSIONS)
+def test_expand_fuzz_exit_codes(text):
+    # any string over the grammar's tokens ends in an exit code, not a traceback
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["expand", "--", text])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 # -- cache ---------------------------------------------------------------

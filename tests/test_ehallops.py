@@ -2,7 +2,7 @@
 
 import pytest
 
-from ehall import symfun
+from ehall import ehallops, symfun
 from ehall.coeffs import QT_M, QT_ONE, QT_Q, QT_T, QTScalar
 from ehall.ehallops import (
     apply_D,
@@ -112,3 +112,43 @@ def test_degree_bookkeeping_of_theta():
     for a, b in [(1, 1), (1, 2), (2, 1), (3, 2)]:
         f = theta(a, b, e_(2))
         assert f.is_homogeneous() and f.max_degree() == 2 * b
+
+
+# -- theta with g = 1 as a combination of cached columns -------------------
+
+_NEG_QT_INV = (-(QT_Q * QT_T)).inverse()
+_ONE_OVER_1_MINUS_Q = (QT_ONE - QT_Q).inverse()
+
+#: one seed per basis, multi-term seeds with Q(q,t) coefficients, and a
+#: seed mixing degrees 0, 1 and 3; total degree at most 3
+_COLUMN_SEEDS = [
+    SymFun("m", {(2, 1): QT_ONE}),
+    SymFun("e", {(3,): QT_ONE}),
+    SymFun("h", {(1, 1): QT_ONE}),
+    SymFun("p", {(2, 1): QT_ONE}),
+    SymFun("s", {(2, 1): QT_ONE}),
+    SymFun("q", {(2, 1): QT_ONE}),
+    SymFun("s", {(3,): _NEG_QT_INV, (2, 1): _ONE_OVER_1_MINUS_Q, (1, 1, 1): QT_Q + QT_T}),
+    SymFun("e", {(2,): _NEG_QT_INV * QT_T, (1, 1): QTScalar(-3)}),
+    SymFun("h", {(): QTScalar(2), (1,): _ONE_OVER_1_MINUS_Q, (2, 1): QT_Q - QT_ONE}),
+]
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 1), (1, 2), (2, 1)])
+def test_theta_columns_match_direct_route(a, b):
+    # the explicit-g route applies Theta to the whole seed at once
+    for f in _COLUMN_SEEDS:
+        direct = theta(a, b, f, SymFun.one("p"))
+        combined = theta(a, b, f)
+        assert combined.convert("s").to_json() == direct.convert("s").to_json(), f
+
+
+def test_theta_column_cache_reused_across_scalar_multiples():
+    f = SymFun("s", {(2, 1): QT_ONE, (1,): QT_Q})
+    first = theta(1, 1, f)
+    before = ehallops._theta_column.cache_info()
+    again = theta(1, 1, f.scale(_ONE_OVER_1_MINUS_Q))
+    after = ehallops._theta_column.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + len(f.terms)
+    assert again == first.scale(_ONE_OVER_1_MINUS_Q)
