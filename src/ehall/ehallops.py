@@ -7,10 +7,13 @@ Conventions (fixed once, validated by the test suite):
   * For other bidegrees, Q_(m,n) = (1/M) [Q_(k,l), Q_(m-k,n-l)] with
     M = (1-t)(1-q) and the split (k,l) chosen canonically (see q_split).
 
-f -> Theta_(a,b)(f)(1) is linear in f, so theta with the default argument
-g = 1 combines cached columns, one per (a, b, basis, lambda): the image of
-the single basis element lambda.  An explicit g (and a < 0, which
-transports g along nabla) takes the direct route on the whole of f.
+Q_(m,n) and f -> Theta_(a,b)(f)(1) are linear maps applied as
+op(f) = sum_lambda f[lambda] * column(op, f.basis, lambda), the column
+being op applied to the single basis element lambda.  One dict holds all
+columns, keyed by (op, basis, lambda), where op is a bracket-tree node or
+("theta", a, b); a commutator column applies each child through its own
+columns.  An explicit g in theta (and a < 0, which transports g along
+nabla) takes the direct route on the whole of f.
 """
 
 from __future__ import annotations
@@ -127,32 +130,45 @@ def m_power(m: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# applying Q_(m,n)
+# the column store; applying Q_(m,n)
 # ---------------------------------------------------------------------------
 
+#: the column store: (op, basis, lambda) -> op(basis element lambda)
 _apply_memo: dict = {}
 
 
-def _apply_tree(node, f: SymFun) -> SymFun:
-    if node[0] == "e":
-        return mul(symfun.q_d(node[1]), f)
-    if node[0] == "D":
-        return apply_D(0, f)
-    left, right = node[1], node[2]
-    lr = _apply_tree(left, _apply_tree(right, f))
-    rl = _apply_tree(right, _apply_tree(left, f))
-    return (lr - rl).scale(_M_INV)
+def _column(op, basis: str, lam: tuple) -> SymFun:
+    """op applied to the basis element lam, computed once and stored."""
+    key = (op, basis, lam)
+    col = _apply_memo.get(key)
+    if col is None:
+        unit = SymFun(basis, {lam: QT_ONE})
+        if op[0] == "e":
+            col = mul(symfun.q_d(op[1]), unit)
+        elif op[0] == "D":
+            col = apply_D(0, unit)
+        elif op[0] == "[]":
+            left, right = op[1], op[2]
+            lr = _apply(left, _column(right, basis, lam))
+            rl = _apply(right, _column(left, basis, lam))
+            col = (lr - rl).scale(_M_INV)
+        else:
+            col = _theta_direct(op[1], op[2], unit, SymFun.one("p"))
+        _apply_memo[key] = col
+    return col
+
+
+def _apply(op, f: SymFun) -> SymFun:
+    """op(f) as the f-weighted sum of the columns of op."""
+    out = SymFun.zero("p")
+    for lam, c in f.terms.items():
+        out = out + _column(op, f.basis, lam).scale(c)
+    return out
 
 
 def apply_Q(m: int, n: int, f: SymFun) -> SymFun:
-    """Apply Q_(m,n) to f (memoized on the bidegree and the content of f)."""
-    key = (m, n, f.key())
-    hit = _apply_memo.get(key)
-    if hit is not None:
-        return hit
-    result = _apply_tree(bracket_tree(m, n), f)
-    _apply_memo[key] = result
-    return result
+    """Apply Q_(m,n) to f through the columns of its bracket tree."""
+    return _apply(bracket_tree(m, n), f)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +185,8 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
     Theta_(a,b) = nabla^(-1) Theta_(a+b,b) nabla.
 
     With g = 1 and a >= 0 the result is sum_lambda f[lambda] times the
-    cached column Theta_(a,b)(basis element lambda)(1); an explicit g is
-    applied to the whole of f directly.
+    stored column of ("theta", a, b) at lambda, Theta_(a,b)(basis element
+    lambda)(1); an explicit g is applied to the whole of f directly.
     """
     if b < 1:
         raise ValueError("theta needs b >= 1")
@@ -180,16 +196,7 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
         return nabla(theta(a + b, b, f, nabla(g)), power=-1)
     if g is not None:
         return _theta_direct(a, b, f, g)
-    out = SymFun.zero("p")
-    for mu, c in f.terms.items():
-        out = out + _theta_column(a, b, f.basis, mu).scale(c)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _theta_column(a: int, b: int, basis: str, mu: tuple) -> SymFun:
-    """Theta_(a,b)(basis element mu)(1), for a >= 0."""
-    return _theta_direct(a, b, SymFun(basis, {mu: QT_ONE}), SymFun.one("p"))
+    return _apply(("theta", a, b), f)
 
 
 def _theta_direct(a: int, b: int, f: SymFun, g: SymFun) -> SymFun:

@@ -28,22 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linalg, shapes
-from .coeffs import QT_M, QT_ONE, QT_ZERO, QTPoly, QTScalar
+from .coeffs import QT_ZERO, QTPoly, QTScalar
 from .symfun import SymFun
-
-
-def b_mu(mu) -> QTScalar:
-    """B_mu(q,t) = sum over cells (i,j) of q^(j-1) t^(i-1)."""
-    total = QT_ZERO
-    for i, part in enumerate(mu, start=1):
-        for j in range(1, part + 1):
-            total = total + QTScalar.qt_monomial(1, j - 1, i - 1)
-    return total
-
-
-def d0_eigenvalue(mu) -> QTScalar:
-    """Eigenvalue of D_0 on H~_mu: 1 - M B_mu."""
-    return QT_ONE - QT_M * b_mu(mu)
 
 
 def _reading_order(mu):

@@ -9,6 +9,7 @@ area = sum_k (d_k - a_k).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +17,7 @@ from itertools import permutations
 from math import gcd
 
 from . import shapes, symfun
-from .coeffs import QT_ONE, QTScalar
+from .coeffs import QTPoly, QTScalar
 from .symfun import Alphabet, SymFun, plethys_whole
 
 
@@ -131,21 +132,19 @@ def is_primitive(p: DyckPath) -> bool:
 
 def path_enumerator(m: int, n: int, returns_at=None) -> SymFun:
     """sum over paths of q^area * e_(riser composition)."""
-    out = SymFun.zero("e")
-    for p in enumerate_paths(m, n, returns_at):
-        rho = tuple(sorted(riser_comp(p), reverse=True))
-        out = out + SymFun("e", {rho: QTScalar.qt_monomial(1, area(p), 0)})
-    return out
+    counts = Counter(
+        (tuple(sorted(riser_comp(p), reverse=True)), area(p))
+        for p in enumerate_paths(m, n, returns_at)
+    )
+    terms = {}
+    for (rho, a), k in counts.items():
+        terms.setdefault(rho, {})[(a, 0)] = k
+    return SymFun("e", {rho: QTScalar(QTPoly(t)) for rho, t in terms.items()})
 
 
 def primitive_enumerator(m: int, n: int) -> SymFun:
     """q^area-weighted riser enumerator over paths with no interior return."""
-    out = SymFun.zero("e")
-    for p in enumerate_paths(m, n):
-        if is_primitive(p):
-            rho = tuple(sorted(riser_comp(p), reverse=True))
-            out = out + SymFun("e", {rho: QTScalar.qt_monomial(1, area(p), 0)})
-    return out
+    return path_enumerator(m, n, returns_at=(gcd(m, n),))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ degreewise.  Supported bases: m, e, h, p, s, and the q-basis built from
 the alternating hook-Schur combinations q_d.
 
 The pivot basis for conversions is p: e and h reach it through Newton's
-identities, s through Murnaghan-Nakayama characters, m through exact
-monomial expansion in finitely many variables, and the q-basis through
-a per-degree linear solve.
+identities, s through Murnaghan-Nakayama characters, m through counting
+the ways to merge the parts of mu into the rows of lam, and the q-basis
+through a per-degree linear solve.
 """
 
 from __future__ import annotations
@@ -161,39 +161,37 @@ def _p_in_s(mu: tuple):
     return out
 
 
-def _expand_p_monomials(mu: tuple, nvars: int):
-    """Exact expansion of p_mu as a polynomial in nvars variables."""
-    terms = {(0,) * nvars: Fraction(1)}
-    for k in mu:
-        new = {}
-        for expt, c in terms.items():
-            for i in range(nvars):
-                e2 = list(expt)
-                e2[i] += k
-                e2 = tuple(e2)
-                s = new.get(e2, 0) + c
-                new[e2] = s
-        terms = new
-    return terms
-
-
 @lru_cache(maxsize=None)
 def _p_m_matrices(d: int):
-    """(p-to-m, m-to-p) transition tables at degree d, via brute monomial
-    expansion in d variables (an oracle-grade independent route)."""
+    """(p-to-m, m-to-p) transition tables at degree d.
+
+    The coefficient of m_lam in p_mu is the number of ways to send each
+    part of mu to a row of lam so that row i receives parts summing to
+    lam_i; the m-to-p table is the inverse matrix.
+    """
     parts = shapes.partitions_of(d)
     if d == 0:
         return ({(): {(): Fraction(1)}}, {(): {(): Fraction(1)}})
+    placements = {}
+
+    def count(mu, rows):
+        # rows: the room left in each row of lam, sorted (rows are
+        # interchangeable for the count)
+        if not mu:
+            return 1
+        key = (mu, rows)
+        if key not in placements:
+            first, rest = mu[0], mu[1:]
+            placements[key] = sum(
+                count(rest, tuple(sorted(rows[:i] + (r - first,) + rows[i + 1:], reverse=True)))
+                for i, r in enumerate(rows)
+                if r >= first
+            )
+        return placements[key]
+
     p2m = {}
     for mu in parts:
-        expansion = _expand_p_monomials(mu, d)
-        row = {}
-        for nu in parts:
-            key = tuple(list(nu) + [0] * (d - len(nu)))
-            c = expansion.get(key)
-            if c:
-                row[nu] = c
-        p2m[mu] = row
+        p2m[mu] = {nu: Fraction(c) for nu in parts if (c := count(mu, nu))}
     mat = [[p2m[mu].get(nu, Fraction(0)) for nu in parts] for mu in parts]
     inv = linalg.inverse(mat)
     # p = mat * m componentwise, so m_mu = sum_j inv[i][j] p_(parts[j])

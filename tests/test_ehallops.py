@@ -2,7 +2,7 @@
 
 import pytest
 
-from ehall import ehallops, symfun
+from ehall import ehallops, shapes, symfun
 from ehall.coeffs import QT_M, QT_ONE, QT_Q, QT_T, QTScalar
 from ehall.ehallops import (
     apply_D,
@@ -146,9 +146,61 @@ def test_theta_columns_match_direct_route(a, b):
 def test_theta_column_cache_reused_across_scalar_multiples():
     f = SymFun("s", {(2, 1): QT_ONE, (1,): QT_Q})
     first = theta(1, 1, f)
-    before = ehallops._theta_column.cache_info()
+    assert all((("theta", 1, 1), "s", mu) in ehallops._apply_memo for mu in f.terms)
+    before = len(ehallops._apply_memo)
     again = theta(1, 1, f.scale(_ONE_OVER_1_MINUS_Q))
-    after = ehallops._theta_column.cache_info()
-    assert after.misses == before.misses
-    assert after.hits == before.hits + len(f.terms)
+    assert len(ehallops._apply_memo) == before  # no new column
     assert again == first.scale(_ONE_OVER_1_MINUS_Q)
+
+
+# -- Q_(m,n) as a combination of cached columns ----------------------------
+
+
+def _apply_tree(node, f):
+    """The bracket recursion applied to the whole of f: both orders of every
+    commutator are evaluated again at each level."""
+    if node[0] == "e":
+        return mul(q_d(node[1]), f)
+    if node[0] == "D":
+        return apply_D(0, f)
+    left, right = node[1], node[2]
+    lr = _apply_tree(left, _apply_tree(right, f))
+    rl = _apply_tree(right, _apply_tree(left, f))
+    return (lr - rl).scale(QT_M.inverse())
+
+
+#: bidegrees with m + n <= 5 that have a bracket tree
+_SMALL_BIDEGREES = [(m, n) for m in range(6) for n in range(6 - m)
+                    if (m, n) != (0, 0) and (n > 0 or m == 1)]
+
+#: one seed per basis p, s, m, q; multi-term seeds with (-qt)^-1 and
+#: 1/(1-q) coefficients and mixed degrees
+_Q_SEEDS = [
+    SymFun("p", {(2,): QT_ONE, (1,): _NEG_QT_INV}),
+    SymFun("s", {(2, 1): _ONE_OVER_1_MINUS_Q, (1, 1): _NEG_QT_INV, (): QT_T}),
+    SymFun("m", {(1, 1): QT_ONE, (2,): _ONE_OVER_1_MINUS_Q}),
+    SymFun("q", {(2,): _NEG_QT_INV, (1, 1): QT_ONE}),
+]
+
+
+@pytest.mark.parametrize("m,n", _SMALL_BIDEGREES)
+def test_apply_Q_matches_bracket_recursion(m, n):
+    tree = ehallops.bracket_tree(m, n)
+    for f in _Q_SEEDS:
+        want = _apply_tree(tree, f).convert("s").to_json()
+        assert apply_Q(m, n, f).convert("s").to_json() == want, f
+
+
+def test_column_store_bounded_at_one_degree():
+    parts = shapes.partitions_of(3)
+    apply_Q(2, 1, SymFun("s", {lam: QT_ONE for lam in parts}))
+    before = len(ehallops._apply_memo)
+    coeffs = [QT_ONE, QT_Q, QT_T, _NEG_QT_INV, _ONE_OVER_1_MINUS_Q]
+    seen = set()
+    for i in range(20):
+        f = SymFun("s", {lam: coeffs[(i + j) % 5] * QTScalar(i + 1)
+                         for j, lam in enumerate(parts) if (i >> j) & 1 or j == i % 3})
+        seen.add(f.key())
+        apply_Q(2, 1, f)
+    assert len(seen) == 20
+    assert len(ehallops._apply_memo) == before

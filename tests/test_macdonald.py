@@ -6,14 +6,12 @@ from ehall import linalg, shapes, symfun
 from ehall.checks import at_qt1, delta_dim
 from ehall.ehallops import apply_D, theta
 from ehall.macdonald import (
-    b_mu,
-    d0_eigenvalue,
     eigenbasis,
     expand_in_eigenbasis,
     nabla,
     nabla_eigenvalue,
 )
-from ehall.coeffs import QT_ONE, QT_Q, QT_T, QT_ZERO, QTScalar
+from ehall.coeffs import QT_M, QT_ONE, QT_Q, QT_T, QT_ZERO, QTScalar
 from ehall.symfun import SymFun, e_, h_, s_, specialize_coeffs
 
 
@@ -81,6 +79,20 @@ def test_diagonal_harmonics_dimension():
 
 
 # -- the D_0 eigenvector route, kept as an oracle for the HHL formula ------
+
+
+def b_mu(mu) -> QTScalar:
+    """B_mu(q,t) = sum over cells (i,j) of q^(j-1) t^(i-1)."""
+    total = QT_ZERO
+    for i, part in enumerate(mu, start=1):
+        for j in range(1, part + 1):
+            total = total + QTScalar.qt_monomial(1, j - 1, i - 1)
+    return total
+
+
+def d0_eigenvalue(mu) -> QTScalar:
+    """Eigenvalue of D_0 on H~_mu: 1 - M B_mu."""
+    return QT_ONE - QT_M * b_mu(mu)
 
 
 def _d0_matrix(n):

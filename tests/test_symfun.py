@@ -201,3 +201,38 @@ def test_json_round_trip():
 def test_specialize_coeffs():
     f = s_((1,)).scale(QT_T)
     assert specialize_coeffs(f, {"t": QT_ONE}) == s_((1,))
+
+
+# -- the p/m tables against brute monomial expansion -----------------------
+
+
+def _expand_p_monomials(mu: tuple, nvars: int):
+    """Exact expansion of p_mu as a polynomial in nvars variables."""
+    terms = {(0,) * nvars: Fraction(1)}
+    for k in mu:
+        new = {}
+        for expt, c in terms.items():
+            for i in range(nvars):
+                e2 = list(expt)
+                e2[i] += k
+                e2 = tuple(e2)
+                s = new.get(e2, 0) + c
+                new[e2] = s
+        terms = new
+    return terms
+
+
+def test_p_m_tables_match_monomial_expansion():
+    for d in range(1, 7):
+        parts = shapes.partitions_of(d)
+        p2m = symfun._p_m_matrices(d)[0]
+        for mu in parts:
+            expansion = _expand_p_monomials(mu, d)
+            want = {}
+            for nu in parts:
+                c = expansion.get(tuple(nu) + (0,) * (d - len(nu)))
+                if c:
+                    want[nu] = c
+            assert p2m[mu] == want, (d, mu)
+            # Fraction entries keep the inversion to m2p exact
+            assert all(type(c) is Fraction for c in p2m[mu].values())
