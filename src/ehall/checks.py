@@ -183,6 +183,7 @@ def at_t1r(f: SymFun) -> SymFun:
 
 
 def at_qt1(f: SymFun) -> SymFun:
+    """q = t = 1 (the CLI's ``--at qt=1`` instead sets t = 1/q)."""
     return specialize_coeffs(f, {"q": QT_ONE, "t": QT_ONE})
 
 

@@ -307,6 +307,7 @@ def _cmd_expand(args):
     return 0
 
 
+#: "qt=1" sets t = 1/q (the product qt is 1), not q = t = 1 as checks.at_qt1
 _SPECIALIZE = {
     "t=1": checks.at_t1,
     "qt=1": lambda f: symfun.specialize_coeffs(f, {"t": QT_Q.inverse()}),
@@ -418,7 +419,9 @@ def build_parser():
     p.add_argument("--seed", required=True)
     p.add_argument("--ab", required=True, metavar="A,B")
     p.add_argument("--arg")
-    p.add_argument("--at", choices=sorted(_SPECIALIZE))
+    p.add_argument("--at", choices=sorted(_SPECIALIZE),
+                   help="specialize the result: t=1; qt=1 sets t = 1/q (not q = t = 1); "
+                        "t=1+r writes t = 1+r with r in the t slot")
     common(p)
     p.set_defaults(fn=_cmd_theta)
 

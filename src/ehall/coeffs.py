@@ -13,7 +13,10 @@ Fraction with denominator 1.  Integer-only arithmetic therefore stays in
 machine-friendly ints, and since ``str``, ``==`` and ``hash`` agree between
 the two types the wire format and memo keys are unaffected.  Reduction of
 a fraction with two non-constant sides is one cofactor call in sympy's
-sparse ring Z[q,t], after clearing coefficient denominators.
+sparse ring Z[q,t], after clearing coefficient denominators.  Sums of
+reduced values are reduced the way Henrici adds fractions: a polynomial
+plus a fraction needs no gcd, and two fractions are reduced only against
+the gcd of their denominators.
 
 All values are immutable after construction and safe to share.
 """
@@ -360,7 +363,13 @@ class QTScalar:
             return self
         if self.den == other.den:
             return QTScalar(self.num + other.num, self.den)
-        return QTScalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        # a polynomial p plus a reduced n/d is (n + p d)/d: already reduced,
+        # since gcd(n + p d, d) = gcd(n, d) = 1, and d is monic
+        if other.den == 1:
+            return QTScalar._raw(self.num + other.num * self.den, self.den)
+        if self.den == 1:
+            return QTScalar._raw(other.num + self.num * other.den, other.den)
+        return QTScalar._raw(*_add_reduced(self.num, self.den, other.num, other.den))
 
     __radd__ = __add__
 
@@ -496,6 +505,26 @@ def _normalize(num: QTPoly, den: QTPoly):
             _, fn, fd = fn.cofactors(fd)
             num, den = _from_zz(fn), _from_zz(fd)
     return _monic(num, den)
+
+
+def _add_reduced(a: QTPoly, b: QTPoly, c: QTPoly, d: QTPoly):
+    """Canonical a/b + c/d for reduced a/b and c/d with b != d (Henrici).
+
+    With s b = g B and s d = g D, where g = gcd(b, d) and s clears the
+    coefficient denominators, the sum is s (a D + c B) / (g B D).  Its
+    numerator is coprime to B and D, so only a factor of g can cancel,
+    and no gcd of the whole numerator with the whole denominator is taken.
+    """
+    fb, fd = _to_zz(b, d)
+    g, fb, fd = fb.cofactors(fd)
+    big_b, big_d = _from_zz(fb), _from_zz(fd)
+    num = a * big_d + c * big_b
+    if g.is_ground:
+        return _monic(num, b * big_d)
+    scale = lcm(_denominator_lcm(b.terms), _denominator_lcm(d.terms))
+    fn, fg = _to_zz(num, _from_zz(g))
+    _, fn, fg = fn.cofactors(fg)
+    return _monic(_from_zz(fn) * scale, _from_zz(fg) * big_b * big_d)
 
 
 # Common constants

@@ -12,8 +12,17 @@ op(f) = sum_lambda f[lambda] * column(op, f.basis, lambda), the column
 being op applied to the single basis element lambda.  One dict holds all
 columns, keyed by (op, basis, lambda), where op is a bracket-tree node or
 ("theta", a, b); a commutator column applies each child through its own
-columns.  An explicit g in theta (and a < 0, which transports g along
-nabla) takes the direct route on the whole of f.
+columns.
+
+Theta columns follow the nabla shear (Bergeron-Garsia-Leven-Xin,
+arXiv:1404.4616): conjugating by nabla sends Q_(m,n) to Q_(m+n,n) and
+fixes 1, so Theta_(a,b)(f)(1) = nabla Theta_(a-b,b)(f)(1), and
+Theta_(0,1)(f)(1) = f.  A ("theta", a, b) column with a >= b is nabla of
+the stored (a-b, b) column, the (0, 1) column is the basis element
+itself, and only columns with a < b go through Q_(m,n).  Theta columns
+are kept in the p basis, the basis the weighted sums are taken in.  An
+explicit g in theta takes the direct route (the q_mu expansion of f and
+products of Q_(m,n)) on the whole of f.
 """
 
 from __future__ import annotations
@@ -152,6 +161,10 @@ def _column(op, basis: str, lam: tuple) -> SymFun:
             lr = _apply(left, _column(right, basis, lam))
             rl = _apply(right, _column(left, basis, lam))
             col = (lr - rl).scale(_M_INV)
+        elif op == ("theta", 0, 1):
+            col = unit.convert("p")
+        elif op[1] >= op[2]:
+            col = nabla(_column(("theta", op[1] - op[2], op[2]), basis, lam)).convert("p")
         else:
             col = _theta_direct(op[1], op[2], unit, SymFun.one("p"))
         _apply_memo[key] = col
@@ -186,14 +199,15 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
 
     With g = 1 and a >= 0 the result is sum_lambda f[lambda] times the
     stored column of ("theta", a, b) at lambda, Theta_(a,b)(basis element
-    lambda)(1); an explicit g is applied to the whole of f directly.
+    lambda)(1).  For a >= b that column is nabla^(a // b) of the
+    (a mod b, b) column, one nabla per stored step, so Theta_(a,1)(f)(1)
+    is nabla^a f and Theta_(-1,1)(f)(1) is nabla^(-1) f.  An explicit g is
+    applied to the whole of f directly.
     """
     if b < 1:
         raise ValueError("theta needs b >= 1")
     if a < 0:
-        if g is None:
-            g = SymFun.one("p")
-        return nabla(theta(a + b, b, f, nabla(g)), power=-1)
+        return nabla(theta(a + b, b, f, None if g is None else nabla(g)), power=-1)
     if g is not None:
         return _theta_direct(a, b, f, g)
     return _apply(("theta", a, b), f)

@@ -126,10 +126,6 @@ def returns_comp(p: DyckPath):
     return shapes.subset_to_composition(d, subset)
 
 
-def is_primitive(p: DyckPath) -> bool:
-    return not return_positions(p)
-
-
 def path_enumerator(m: int, n: int, returns_at=None) -> SymFun:
     """sum over paths of q^area * e_(riser composition)."""
     counts = Counter(

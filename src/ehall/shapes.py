@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
 
 
 def is_partition(mu) -> bool:
@@ -74,19 +73,6 @@ def hook(j: int, k: int):
     return (j + 1,) + (1,) * k
 
 
-class PartitionStats(NamedTuple):
-    conjugate: tuple
-    z: int
-    iota: int
-    nstat: int
-    bar: tuple
-
-
-def partition_stats(mu) -> PartitionStats:
-    mu = check_partition(mu)
-    return PartitionStats(conjugate(mu), z_stat(mu), iota(mu), n_stat(mu), bar(mu))
-
-
 @lru_cache(maxsize=None)
 def partitions_of(d: int):
     """All partitions of d, reverse-lexicographic ((d) first, (1^d) last)."""
@@ -131,24 +117,8 @@ def compositions_of(d: int):
     return tuple(out)
 
 
-def partitions_up_to(d: int):
-    """Pairs (k, mu) for all mu of all sizes 0..d."""
-    for k in range(d + 1):
-        for mu in partitions_of(k):
-            yield k, mu
-
-
-def composition_to_subset(alpha):
-    """Partial-sum set S(alpha) in {1,...,d-1} for alpha a composition of d."""
-    s, out = 0, set()
-    for c in alpha[:-1]:
-        s += c
-        out.add(s)
-    return frozenset(out)
-
-
 def subset_to_composition(d: int, S):
-    """Inverse of composition_to_subset."""
+    """The composition of d whose partial sums below d are the set S."""
     S = set(S)
     if any(not (1 <= s <= d - 1) for s in S):
         raise ValueError(f"subset {sorted(S)} not within 1..{d - 1}")
@@ -158,17 +128,6 @@ def subset_to_composition(d: int, S):
         parts.append(s - prev)
         prev = s
     return tuple(parts)
-
-
-def subset_composition(d: int, S=None, alpha=None):
-    """Bijection between subsets of {1..d-1} and compositions of d."""
-    if (S is None) == (alpha is None):
-        raise ValueError("pass exactly one of S, alpha")
-    if alpha is not None:
-        if sum(alpha) != d:
-            raise ValueError(f"{alpha} is not a composition of {d}")
-        return composition_to_subset(alpha)
-    return subset_to_composition(d, S)
 
 
 def dominance_leq(mu, nu) -> bool:

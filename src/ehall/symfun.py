@@ -417,14 +417,6 @@ def m_(mu) -> SymFun:
     return SymFun("m", {shapes.check_partition(mu): QT_ONE})
 
 
-def e_mu(mu) -> SymFun:
-    return SymFun("e", {shapes.check_partition(mu): QT_ONE})
-
-
-def h_mu(mu) -> SymFun:
-    return SymFun("h", {shapes.check_partition(mu): QT_ONE})
-
-
 def mul(f: SymFun, g: SymFun) -> SymFun:
     """Exact product; free merge in a multiplicative basis, else via p."""
     basis = f.basis if f.basis == g.basis and f.basis in "ehpq" else "p"

@@ -139,6 +139,13 @@ def _ref_mul(p, r):
     return out
 
 
+def _ref_add(p, r):
+    out = {e: Fraction(c) for e, c in p.items()}
+    for e, c in r.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
 def _ref_divmod(p, d):
     (dq, dt), dc = _ref_lead(d)
     quo, rem, cur = {}, {}, dict(p)
@@ -239,12 +246,27 @@ def test_normalization_matches_reference(a, b, g):
     for num, den in cases:
         x = QTScalar(QTPoly(num), QTPoly(den))
         _assert_matches_reference(x, num, den)
-        # products and inverses skip the final reduction; sums do not
+        # products, inverses and sums skip the full reduction
         z = QTScalar(b, g)
         _assert_matches_reference(x * z, _ref_mul(x.num.terms, z.num.terms),
                                   _ref_mul(x.den.terms, z.den.terms))
         if x:
             _assert_matches_reference(x.inverse(), x.den.terms, x.num.terms)
-        y = x + QTScalar(g)
-        _assert_int_or_proper_fraction(y.num)
-        _assert_int_or_proper_fraction(y.den)
+        # a polynomial plus a fraction, in both orders, and two fractions
+        sum_num = _ref_add(x.num.terms, _ref_mul(g.terms, x.den.terms))
+        _assert_matches_reference(x + QTScalar(g), sum_num, x.den.terms)
+        _assert_matches_reference(QTScalar(g) + x, sum_num, x.den.terms)
+        sum_num = _ref_add(_ref_mul(x.num.terms, z.den.terms), _ref_mul(z.num.terms, x.den.terms))
+        _assert_matches_reference(x + z, sum_num, _ref_mul(x.den.terms, z.den.terms))
+
+
+def test_sum_cancels_a_factor_of_the_common_denominator():
+    # 1/(1+q) + (q-t)/((1+q)(1+t)) = 1/(1+t): the numerator of the sum
+    # shares the factor 1+q of gcd(b, d)
+    one_plus_q = QTPoly({(0, 0): 1, (1, 0): 1})
+    one_plus_t = QTPoly({(0, 0): 1, (0, 1): 1})
+    x = QTScalar(QTPoly(1), one_plus_q)
+    z = QTScalar(QTPoly({(1, 0): 1, (0, 1): -1}), one_plus_q * one_plus_t)
+    num = _ref_add(_ref_mul(x.num.terms, z.den.terms), _ref_mul(z.num.terms, x.den.terms))
+    _assert_matches_reference(x + z, num, _ref_mul(x.den.terms, z.den.terms))
+    assert x + z == QTScalar(QTPoly(1), one_plus_t)

@@ -134,13 +134,32 @@ _COLUMN_SEEDS = [
 ]
 
 
-@pytest.mark.parametrize("a,b", [(0, 1), (1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 1), (1, 2), (2, 1), (3, 1), (3, 2)])
 def test_theta_columns_match_direct_route(a, b):
-    # the explicit-g route applies Theta to the whole seed at once
+    # the explicit-g route applies Theta to the whole seed at once; for
+    # a >= b the columns go through nabla instead.  Theta_(3,2) of a
+    # degree-3 seed needs Q_(9,6), so its seeds stop at degree 2.
     for f in _COLUMN_SEEDS:
+        if (a, b) == (3, 2) and f.max_degree() > 2:
+            continue
         direct = theta(a, b, f, SymFun.one("p"))
         combined = theta(a, b, f)
         assert combined.convert("s").to_json() == direct.convert("s").to_json(), f
+
+
+def test_theta_11_shear_matches_commutators():
+    # Theta_(1,1)(f)(1) = nabla f by the columns; the commutator route is
+    # independent of nabla
+    seeds = [e_(d) for d in range(1, 6)] + [h_(d) for d in range(1, 6)]
+    seeds += [s_(mu) for d in range(1, 6) for mu in shapes.partitions_of(d)]
+    for f in seeds:
+        direct = ehallops._theta_direct(1, 1, f, SymFun.one("p"))
+        assert theta(1, 1, f).convert("s").to_json() == direct.convert("s").to_json(), f
+
+
+def test_theta_negative_a_columns_match_explicit_g():
+    for f in _COLUMN_SEEDS:
+        assert theta(-1, 1, f) == theta(-1, 1, f, SymFun.one("p")), f
 
 
 def test_theta_column_cache_reused_across_scalar_multiples():

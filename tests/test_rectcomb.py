@@ -14,15 +14,20 @@ from ehall.rectcomb import (
     bizley,
     descent_comp,
     enumerate_paths,
-    is_primitive,
     parking,
     path_enumerator,
     primitive_enumerator,
     rank,
+    return_positions,
     returns_comp,
     riser_comp,
     staircase,
 )
+
+
+def is_primitive(p: DyckPath) -> bool:
+    """A path with no interior return to the diagonal."""
+    return not return_positions(p)
 
 
 def _words(m, n):

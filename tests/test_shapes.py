@@ -71,11 +71,20 @@ def test_bar_removes_first_column():
     assert shapes.bar(()) == ()
 
 
+def composition_to_subset(alpha):
+    """Partial-sum set S(alpha) in {1,...,d-1} for alpha a composition of d."""
+    s, out = 0, set()
+    for c in alpha[:-1]:
+        s += c
+        out.add(s)
+    return frozenset(out)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=6), st.data())
 def test_composition_subset_bijection(d, data):
     alpha = data.draw(st.sampled_from(shapes.compositions_of(d)))
-    S = shapes.composition_to_subset(alpha)
+    S = composition_to_subset(alpha)
     assert shapes.subset_to_composition(d, S) == alpha
     assert all(1 <= s < d for s in S)
 
