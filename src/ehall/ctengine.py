@@ -19,10 +19,10 @@ q^(c_1 + ... + c_(m-1)) and contribution e_(k_1) ... e_(k_m).
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
-from .coeffs import QTScalar
-from .symfun import SymFun
+from .symfun import SymFun, e_q_counts
 
 
 def ct_t1(m: int, n: int, primitive: bool = False) -> SymFun:
@@ -32,23 +32,25 @@ def ct_t1(m: int, n: int, primitive: bool = False) -> SymFun:
     d-1 interior diagonal columns i = j*m/d (j = 1..d-1, d = gcd(m,n)):
     in this orientation a zero carry at such a column is exactly an
     interior return, so the restriction enumerates primitive paths.
+
+    Each leaf of the walk is one q-monomial; the leaves are counted as
+    integers per (partition, q-exponent) and each coefficient is built
+    once at the end.
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be positive")
     b = [i * n // m - (i - 1) * n // m for i in range(1, m + 1)]
     d = gcd(m, n)
     forced = {j * m // d for j in range(1, d)} if primitive else set()
-    out = {}
+    counts = Counter()  # (partition, q-exponent) -> number of leaves
 
     def walk(i, carry, qexp, ks):
         if i == m:
             k = b[i - 1] + carry  # c_m = 0
             if k < 0:
                 return
-            rho = tuple(sorted(ks + [k], reverse=True))
-            rho = tuple(x for x in rho if x)
-            c = QTScalar.qt_monomial(1, qexp, 0)
-            out[rho] = out[rho] + c if rho in out else c
+            rho = tuple(x for x in sorted(ks + [k], reverse=True) if x)
+            counts[rho, qexp] += 1
             return
         top = b[i - 1] + carry  # c_i <= b_i + c_(i-1) keeps k_i >= 0
         low = 1 if i in forced else 0
@@ -59,7 +61,4 @@ def ct_t1(m: int, n: int, primitive: bool = False) -> SymFun:
             walk(i + 1, ci, qexp + ci, ks + [k])
 
     walk(1, 0, 0, [])
-    result = SymFun("e", out)
-    for coeff in result.terms.values():
-        assert coeff.is_polynomial(), "constant term left a denominator"
-    return result
+    return e_q_counts(counts)

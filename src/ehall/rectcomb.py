@@ -13,15 +13,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import gcd
 
 from . import shapes, symfun
-from .coeffs import QTPoly, QTScalar
+from .coeffs import QTScalar
 from .symfun import Alphabet, SymFun, plethys_whole
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyckPath:
     m: int
     n: int
@@ -41,7 +40,7 @@ class DyckPath:
                 raise ValueError(f"word {w} crosses the diagonal at position {k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParkingFun:
     path: DyckPath
     labels: tuple  # labels[k-1] is the label of the south step at height k-1
@@ -61,13 +60,6 @@ class ParkingFun:
             cols[lab - 1] = self.path.word[k]
         return tuple(cols)
 
-    def cells(self):
-        """cell of label i: (x, y) where the step labeled i starts."""
-        out = [None] * self.path.n
-        for k, lab in enumerate(self.labels):
-            out[lab - 1] = (self.path.word[k], k)
-        return out
-
 
 def staircase(m: int, n: int) -> DyckPath:
     return DyckPath(m, n, tuple((k - 1) * m // n for k in range(1, n + 1)))
@@ -77,14 +69,20 @@ def enumerate_paths(m: int, n: int, returns_at=None):
     """All (m,n)-Dyck paths in lexicographic word order (iterative odometer).
 
     With returns_at (a composition of gcd(m,n)), keep only paths whose
-    interior-return composition equals it.
+    interior-return composition equals it; any other returns_at raises
+    ValueError.
     """
+    if returns_at is not None:
+        returns_at = tuple(returns_at)
+        d = gcd(m, n)
+        if any(a < 1 for a in returns_at) or sum(returns_at) != d:
+            raise ValueError(f"returns {returns_at} is not a composition of gcd(m, n) = {d}")
     ceilings = [(k - 1) * m // n for k in range(1, n + 1)]
     word = [0] * n
     out = []
     while True:
         p = DyckPath(m, n, tuple(word))
-        if returns_at is None or returns_comp(p) == tuple(returns_at):
+        if returns_at is None or returns_comp(p) == returns_at:
             out.append(p)
         k = n - 1
         while k >= 0 and word[k] >= ceilings[k]:
@@ -128,14 +126,10 @@ def returns_comp(p: DyckPath):
 
 def path_enumerator(m: int, n: int, returns_at=None) -> SymFun:
     """sum over paths of q^area * e_(riser composition)."""
-    counts = Counter(
+    return symfun.e_q_counts(Counter(
         (tuple(sorted(riser_comp(p), reverse=True)), area(p))
         for p in enumerate_paths(m, n, returns_at)
-    )
-    terms = {}
-    for (rho, a), k in counts.items():
-        terms.setdefault(rho, {})[(a, 0)] = k
-    return SymFun("e", {rho: QTScalar(QTPoly(t)) for rho, t in terms.items()})
+    ))
 
 
 def primitive_enumerator(m: int, n: int) -> SymFun:
@@ -177,15 +171,32 @@ def bizley(a: int, b: int, d: int) -> SymFun:
 
 
 def parking(p: DyckPath):
-    """All parking functions on p (labels increase up each column)."""
+    """All parking functions on p, in lexicographic order of their labels.
+
+    The labels are filled in depth first, one south step at a time, trying
+    values in increasing order; a step directly above another in the same
+    column starts above that step's label.  So only label sequences that
+    increase up each column are built: n!/prod(r_i!) of them for riser
+    composition r, never the n! permutations.
+    """
+    n, w = p.n, p.word
     out = []
-    for perm in permutations(range(1, p.n + 1)):
-        ok = all(
-            not (p.word[k] == p.word[k - 1] and perm[k] < perm[k - 1])
-            for k in range(1, p.n)
-        )
-        if ok:
-            out.append(ParkingFun(p, perm))
+    labels = [0] * n
+    used = [False] * (n + 1)
+
+    def fill(k):
+        if k == n:
+            out.append(ParkingFun(p, tuple(labels)))
+            return
+        low = labels[k - 1] + 1 if k and w[k] == w[k - 1] else 1
+        for v in range(low, n + 1):
+            if not used[v]:
+                used[v] = True
+                labels[k] = v
+                fill(k + 1)
+                used[v] = False
+
+    fill(0)
     return out
 
 
@@ -194,13 +205,23 @@ def rank(x: int, y: int, m: int, n: int) -> int:
 
 
 def descent_comp(pf: ParkingFun):
-    """Composition of n recording where label i+1 sits at rank <= label i."""
-    m, n = pf.path.m, pf.path.n
-    cells = pf.cells()
-    des = set()
+    """Composition of n recording where label i+1 sits at rank <= label i.
+
+    The step at height k starts at cell (word[k], k); one pass over the
+    labels reads the rank of every label's cell, and a part ends at each
+    such descent.
+    """
+    p = pf.path
+    m, n, w = p.m, p.n, p.word
+    ranks = [0] * n
+    for k, lab in enumerate(pf.labels):
+        ranks[lab - 1] = rank(w[k], k, m, n)
+    parts, run = [], 1
     for i in range(1, n):
-        x1, y1 = cells[i - 1]
-        x2, y2 = cells[i]
-        if rank(x1, y1, m, n) >= rank(x2, y2, m, n):
-            des.add(i)
-    return shapes.subset_to_composition(n, des)
+        if ranks[i - 1] >= ranks[i]:
+            parts.append(run)
+            run = 1
+        else:
+            run += 1
+    parts.append(run)
+    return tuple(parts)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, shapes
-from .coeffs import QT_ONE, QT_ZERO, QTScalar
+from .coeffs import QT_ONE, QT_ZERO, QTPoly, QTScalar
 
 BASES = "mehpsq"
 
@@ -417,6 +417,14 @@ def m_(mu) -> SymFun:
     return SymFun("m", {shapes.check_partition(mu): QT_ONE})
 
 
+def e_q_counts(counts) -> SymFun:
+    """sum of k q^a e_rho over a map {(rho, a): k} of integer counts."""
+    terms = {}
+    for (rho, a), k in counts.items():
+        terms.setdefault(rho, {})[(a, 0)] = k
+    return SymFun("e", {rho: QTScalar(QTPoly(t)) for rho, t in terms.items()})
+
+
 def mul(f: SymFun, g: SymFun) -> SymFun:
     """Exact product; free merge in a multiplicative basis, else via p."""
     basis = f.basis if f.basis == g.basis and f.basis in "ehpq" else "p"
@@ -544,72 +552,9 @@ def omega(f: SymFun) -> SymFun:
     return res.convert(f.basis)
 
 
-def qt_invert(f: SymFun) -> SymFun:
-    """Substitute q -> 1/q, t -> 1/t in every coefficient."""
-    from .coeffs import QT_Q, QT_T
-
-    bind = {"q": QT_Q.inverse(), "t": QT_T.inverse()}
-    return SymFun(f.basis, {mu: c.specialize(bind) for mu, c in f.terms.items()})
-
-
-def omega_star(f: SymFun) -> SymFun:
-    """f_d -> (-1/qt)^(d-1) omega f_d(x; 1/q, 1/t), applied degreewise."""
-    total = SymFun.zero(f.basis)
-    for d, comp in f.degree_components().items():
-        g = omega(qt_invert(comp))
-        if d >= 1:
-            g = g.scale(QTScalar.qt_monomial((-1) ** (d - 1), -(d - 1), -(d - 1)))
-        total = total + g
-    return total
-
-
 def specialize_coeffs(f: SymFun, bind) -> SymFun:
     """Apply a q/t substitution to every coefficient."""
     return SymFun(f.basis, {mu: c.specialize(bind) for mu, c in f.terms.items()})
-
-
-# ---------------------------------------------------------------------------
-# composition-indexed Schur functions (Jacobi-Trudi determinant)
-# ---------------------------------------------------------------------------
-
-
-def composition_schur(alpha) -> SymFun:
-    """det(h_(c_i - i + j)) for a composition alpha, expanded exactly.
-
-    Always evaluates to 0 or to a single Schur function up to sign; that
-    property is asserted here.
-    """
-    alpha = tuple(alpha)
-    if not alpha or any(c < 1 for c in alpha):
-        raise ValueError(f"invalid composition {alpha}")
-    k = len(alpha)
-    # Laplace expansion along rows, memoized on (row, remaining columns)
-    from functools import lru_cache as _lc
-
-    @_lc(maxsize=None)
-    def minor(row, cols):
-        if row == k:
-            return SymFun.one("h")
-        total = SymFun.zero("h")
-        for idx, j in enumerate(cols):
-            m = alpha[row] - (row + 1) + (j + 1)
-            if m < 0:
-                continue
-            entry = h_(m)
-            sub = minor(row + 1, cols[:idx] + cols[idx + 1:])
-            term = mul(entry, sub)
-            if idx % 2:
-                term = -term
-            total = total + term
-        return total
-
-    det = minor(0, tuple(range(k)))
-    result = det.convert("s")
-    if len(result.terms) > 1 or any(
-        c.key() not in (QT_ONE.key(), (-QT_ONE).key()) for c in result.terms.values()
-    ):
-        raise AssertionError(f"composition Schur of {alpha} is not 0 or +-s_lam: {result!r}")
-    return result
 
 
 # ---------------------------------------------------------------------------

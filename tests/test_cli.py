@@ -102,6 +102,13 @@ def test_dyck_subcommand(capsys):
     assert data["parking"]
 
 
+@pytest.mark.parametrize("alpha", ["2,2", "0,3", "-1,4"])
+def test_dyck_returns_not_a_composition_of_gcd(capsys, alpha):
+    assert cli.main(["dyck", "3", "3", f"--returns={alpha}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_ct_subcommand(capsys):
     rc, out = _run(capsys, "ct", "3", "2", "--basis", "e")
     assert rc == 0

@@ -1,5 +1,6 @@
 """Rectangular Dyck paths, parking functions, and enumerators."""
 
+from itertools import permutations
 from math import comb, gcd
 
 import pytest
@@ -28,6 +29,40 @@ from ehall.rectcomb import (
 def is_primitive(p: DyckPath) -> bool:
     """A path with no interior return to the diagonal."""
     return not return_positions(p)
+
+
+def parking_by_filter(p: DyckPath):
+    """Oracle: every permutation of 1..n, kept if labels rise up each column."""
+    out = []
+    for perm in permutations(range(1, p.n + 1)):
+        ok = all(
+            not (p.word[k] == p.word[k - 1] and perm[k] < perm[k - 1])
+            for k in range(1, p.n)
+        )
+        if ok:
+            out.append(ParkingFun(p, perm))
+    return out
+
+
+def cells(pf: ParkingFun):
+    """cell of label i: (x, y) where the step labeled i starts."""
+    out = [None] * pf.path.n
+    for k, lab in enumerate(pf.labels):
+        out[lab - 1] = (pf.path.word[k], k)
+    return out
+
+
+def descent_comp_by_cells(pf: ParkingFun):
+    """Oracle: descent composition from the cells, two ranks per pair."""
+    m, n = pf.path.m, pf.path.n
+    c = cells(pf)
+    des = set()
+    for i in range(1, n):
+        x1, y1 = c[i - 1]
+        x2, y2 = c[i]
+        if rank(x1, y1, m, n) >= rank(x2, y2, m, n):
+            des.add(i)
+    return shapes.subset_to_composition(n, des)
 
 
 def _words(m, n):
@@ -95,6 +130,14 @@ def test_returns_filter():
     assert total == len(enumerate_paths(3, 3))
 
 
+@pytest.mark.parametrize("alpha", [(2, 2), (0, 3), (-1, 4), (1,), (4,), ()])
+def test_returns_must_be_a_composition_of_gcd(alpha):
+    with pytest.raises(ValueError):
+        enumerate_paths(3, 3, returns_at=alpha)
+    with pytest.raises(ValueError):
+        path_enumerator(3, 3, returns_at=alpha)
+
+
 def test_parking_functions():
     # coprime (m,n): total number of parking functions is m^(n-1)
     for m, n in [(3, 2), (4, 3), (5, 2)]:
@@ -110,14 +153,31 @@ def test_parking_validation_and_word():
         ParkingFun(DyckPath(3, 2, (0, 0)), (2, 1))
     pf = ParkingFun(p, (2, 1))
     assert pf.word() == (1, 0)
-    assert pf.cells() == [(1, 1), (0, 0)]
+    assert cells(pf) == [(1, 1), (0, 0)]
 
 
 def test_descent_comp():
-    p = staircase(2, 2)
-    for pf in parking(p):
-        alpha = descent_comp(pf)
-        assert sum(alpha) == 2
+    # rank(x, y) = nm - ym - xn of the cell (word[k], k) under each label
+    got = {pf.labels: descent_comp(pf) for pf in parking(staircase(2, 2))}
+    assert got == {(1, 2): (1, 1), (2, 1): (2,)}
+    got = {pf.labels: descent_comp(pf) for pf in parking(DyckPath(3, 2, (0, 1)))}
+    assert got == {(1, 2): (1, 1), (2, 1): (2,)}
+    got = {pf.labels: descent_comp(pf) for pf in parking(DyckPath(3, 3, (0, 0, 1)))}
+    assert got == {(1, 2, 3): (1, 1, 1), (1, 3, 2): (1, 2), (2, 3, 1): (2, 1)}
+    got = {pf.labels: descent_comp(pf) for pf in parking(DyckPath(5, 3, (0, 1, 3)))}
+    assert got == {(1, 2, 3): (1, 1, 1), (1, 3, 2): (1, 2), (2, 1, 3): (2, 1),
+                   (2, 3, 1): (2, 1), (3, 1, 2): (1, 2), (3, 2, 1): (3,)}
+
+
+def test_parking_and_descents_match_oracles():
+    # same parking functions in the same order, with the same descents
+    for m in range(1, 8):
+        for n in range(1, 7):
+            for p in enumerate_paths(m, n):
+                got = [(pf.word(), pf.labels, descent_comp(pf)) for pf in parking(p)]
+                want = [(pf.word(), pf.labels, descent_comp_by_cells(pf))
+                        for pf in parking_by_filter(p)]
+                assert got == want, p
 
 
 def test_enumerator_against_paths():

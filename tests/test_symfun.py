@@ -12,7 +12,6 @@ from ehall.symfun import (
     Alphabet,
     SymFun,
     TruncationError,
-    composition_schur,
     e_,
     expand_in_q,
     h_,
@@ -21,13 +20,11 @@ from ehall.symfun import (
     m_,
     mul,
     omega,
-    omega_star,
     p_,
     plethys,
     plethys_whole,
     q_d,
     q_mu,
-    qt_invert,
     s_,
     specialize_coeffs,
 )
@@ -118,18 +115,6 @@ def test_omega_involution():
             assert omega(f).convert("s") == s_(shapes.conjugate(mu))
 
 
-def test_omega_star_is_an_involution_degreewise():
-    f = s_((2, 1)).scale(QT_Q) + s_((1, 1)).scale(QT_T)
-    assert omega_star(omega_star(f)) == f
-
-
-def test_qt_invert():
-    f = s_((2,)).scale(QT_Q)
-    g = qt_invert(f)
-    assert g.terms[(2,)] == QT_Q.inverse()
-    assert qt_invert(g) == f
-
-
 def test_q_d_definition():
     # q_d = sum over hooks (j|k), j+k = d-1, of (-qt)^(-j) s_(j|k)
     inv = (QT_Q * QT_T).inverse()
@@ -151,13 +136,6 @@ def test_hook_schur():
     assert hook_schur(2, 0) == s_((3,))
     assert hook_schur(0, 2) == s_((1, 1, 1))
     assert hook_schur(1, 1) == s_((2, 1))
-
-
-def test_composition_schur_straightening():
-    # comp = partition: plain Schur; adjacent swap: sign rule or zero
-    assert composition_schur((2, 1)).convert("s") == s_((2, 1)).convert("s")
-    assert composition_schur((1, 3)).convert("s") == -s_((2, 2)).convert("s")
-    assert composition_schur((1, 2)) == SymFun.zero("s")
 
 
 def test_plethysm_power_sum_rules():
