@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import lru_cache
 
 from . import checks, ctengine, ehallops, macdonald, rectcomb, symfun
 from .coeffs import QT_ONE, QT_Q, QT_T, QTScalar
@@ -401,7 +402,9 @@ def _cmd_cache(args):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="ehall", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

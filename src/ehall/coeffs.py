@@ -13,10 +13,12 @@ Fraction with denominator 1.  Integer-only arithmetic therefore stays in
 machine-friendly ints, and since ``str``, ``==`` and ``hash`` agree between
 the two types the wire format and memo keys are unaffected.  Reduction of
 a fraction with two non-constant sides is one cofactor call in sympy's
-sparse ring Z[q,t], after clearing coefficient denominators.  Sums of
-reduced values are reduced the way Henrici adds fractions: a polynomial
-plus a fraction needs no gcd, and two fractions are reduced only against
-the gcd of their denominators.
+sparse ring Z[q,t], after clearing coefficient denominators, unless the
+denominator is a monomial: then only the common monomial content cancels.
+Sums of reduced values are reduced the way Henrici adds fractions: a
+polynomial plus a fraction needs no gcd, two fractions are reduced only
+against the gcd of their denominators, and that gcd is a monomial, taken
+without a cofactor call, when either denominator is one.
 
 All values are immutable after construction and safe to share.
 """
@@ -500,7 +502,8 @@ def _normalize(num: QTPoly, den: QTPoly):
         if mq or mt:
             num = num._shift_down(mq, mt)
             den = den._shift_down(mq, mt)
-        if not num.is_constant() and not den.is_constant():
+        # a one-term side shares nothing but monomial content with the other
+        if len(den.terms) > 1 and len(num.terms) > 1:
             fn, fd = _to_zz(num, den)
             _, fn, fd = fn.cofactors(fd)
             num, den = _from_zz(fn), _from_zz(fd)
@@ -514,7 +517,17 @@ def _add_reduced(a: QTPoly, b: QTPoly, c: QTPoly, d: QTPoly):
     coefficient denominators, the sum is s (a D + c B) / (g B D).  Its
     numerator is coprime to B and D, so only a factor of g can cancel,
     and no gcd of the whole numerator with the whole denominator is taken.
+    When b or d is a monomial, g is the common monomial content and no
+    gcd is taken at all.
     """
+    if len(b.terms) == 1 or len(d.terms) == 1:
+        (bq, bt), (dq, dt) = b._monomial_content(), d._monomial_content()
+        gq, gt = min(bq, dq), min(bt, dt)
+        big_b, big_d = b._shift_down(gq, gt), d._shift_down(gq, gt)
+        num = a * big_d + c * big_b
+        nq, nt = num._monomial_content()
+        mq, mt = min(nq, gq), min(nt, gt)
+        return _monic(num._shift_down(mq, mt), (b * big_d)._shift_down(mq, mt))
     fb, fd = _to_zz(b, d)
     g, fb, fd = fb.cofactors(fd)
     big_b, big_d = _from_zz(fb), _from_zz(fd)

@@ -21,15 +21,30 @@ Conventions:
 The result satisfies D_0 H~_mu = (1 - M B_mu) H~_mu with B_mu the diagram
 generating function, and <H~_mu, s_(n)> = 1; the tests check both against
 the D_0 eigenvector route.  nabla scales H~_mu by t^n(mu) q^n(mu').
+
+Coordinates: the H~_mu are orthogonal for the *-scalar product, with
+<p_rho, p_rho>_* = (-1)^(n - l(rho)) z_rho prod_i (1 - q^rho_i)(1 - t^rho_i)
+and <H~_mu, H~_mu>_* = prod over cells (q^a - t^(l+1)) (t^l - q^(a+1))
+(Bergeron-Garsia-Haiman-Tesler, Methods Appl. Anal. 6 (1999)), so
+c_mu(f) = <f, H~_mu>_* / <H~_mu, H~_mu>_* and no matrix is inverted.
+
+nabla is a linear map over stored Schur columns keyed by (sign, lam):
+nabla s_lam, built once from the H~ coordinates of s_lam, and
+nabla^(-1) s_lam.  Since H~_mu[X; 1/q, 1/t] = t^-n(mu) q^-n(mu') omega
+H~_mu[X; q, t] (Garsia-Haiman), nabla^(-1) = omega bar(nabla) omega, where
+the bar sends q, t to 1/q, 1/t: the coefficient of s_nu' in nabla^(-1) s_lam
+is the bar of the coefficient of s_nu in nabla s_lam', a polynomial.
+nabla^k applies the sign(k) columns |k| times, so the store holds at most
+2 p(n) columns of degree n.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import linalg, shapes
+from . import shapes
 from .coeffs import QT_ZERO, QTPoly, QTScalar
-from .symfun import SymFun
+from .symfun import SymFun, s_
 
 
 def _reading_order(mu):
@@ -99,29 +114,73 @@ def eigenbasis(n: int):
     return out
 
 
+def _star_norm_p(rho) -> QTPoly:
+    """<p_rho, p_rho>_* = (-1)^(n - l(rho)) z_rho prod_i (1 - q^rho_i)(1 - t^rho_i)."""
+    out = QTPoly((-1) ** (sum(rho) - len(rho)) * shapes.z_stat(rho))
+    for k in rho:
+        out = out * (QTPoly(1) - QTPoly.monomial(1, k, 0)) * (QTPoly(1) - QTPoly.monomial(1, 0, k))
+    return out
+
+
+def _star_norm(mu) -> QTScalar:
+    """<H~_mu, H~_mu>_* = prod over cells of (q^a - t^(l+1)) (t^l - q^(a+1))."""
+    conj = shapes.conjugate(mu)
+    out = QTPoly(1)
+    for i, part in enumerate(mu, start=1):
+        for j in range(1, part + 1):
+            a, l = part - j, conj[j - 1] - i
+            out = out * (QTPoly.monomial(1, a, 0) - QTPoly.monomial(1, 0, l + 1))
+            out = out * (QTPoly.monomial(1, 0, l) - QTPoly.monomial(1, a + 1, 0))
+    return QTScalar(out)
+
+
 @lru_cache(maxsize=None)
-def _eigen_matrix_inverse(n: int):
-    """Inverse of the matrix whose columns are the H~_mu in Schur coordinates."""
+def _star_pairings(n: int):
+    """mu -> ({lam: <s_lam, H~_mu>_*}, <H~_mu, H~_mu>_*) for every mu |- n.
+
+    The pairings come from the Schur Gram matrix of the *-scalar product,
+    built from the p-expansions of the s_lam; all of it is polynomial.
+    """
     parts = shapes.partitions_of(n)
-    basis = eigenbasis(n)
-    mat = [[basis[mu].terms.get(lam, QT_ZERO) for mu in parts] for lam in parts]
-    return linalg.inverse(mat)
+    in_p = {lam: {rho: c.as_fraction() for rho, c in s_(lam).convert("p").terms.items()}
+            for lam in parts}
+    weight = {rho: _star_norm_p(rho) for rho in parts}
+    gram = {}
+    for i, lam in enumerate(parts):
+        for nu in parts[i:]:
+            g = QTPoly()
+            for rho, c in in_p[lam].items():
+                if rho in in_p[nu]:
+                    g = g + weight[rho] * (c * in_p[nu][rho])
+            gram[lam, nu] = gram[nu, lam] = g
+    out = {}
+    for mu, H in eigenbasis(n).items():
+        row = {}
+        for lam in parts:
+            g = QTPoly()
+            for nu, h in H.terms.items():
+                g = g + gram[lam, nu] * h.num
+            if g:
+                row[lam] = QTScalar(g)
+        out[mu] = (row, _star_norm(mu))
+    return out
 
 
 def expand_in_eigenbasis(f: SymFun) -> dict:
-    """Coordinates of f in the H~_mu basis: dict mu -> QTScalar."""
+    """Coordinates of f in the H~_mu basis: dict mu -> QTScalar.
+
+    c_mu(f) = <f, H~_mu>_* / <H~_mu, H~_mu>_*, by the orthogonality of the
+    H~_mu for the *-scalar product.
+    """
     out = {}
     for n, comp in f.convert("s").degree_components().items():
-        parts = shapes.partitions_of(n)
-        inv = _eigen_matrix_inverse(n)
-        vec = [comp.terms.get(lam, QT_ZERO) for lam in parts]
-        for i, mu in enumerate(parts):
+        for mu, (row, norm) in _star_pairings(n).items():
             c = QT_ZERO
-            for j in range(len(parts)):
-                if vec[j]:
-                    c = c + inv[i][j] * vec[j]
+            for lam, v in comp.terms.items():
+                if lam in row:
+                    c = c + v * row[lam]
             if c:
-                out[mu] = c
+                out[mu] = c / norm
     return out
 
 
@@ -130,10 +189,56 @@ def nabla_eigenvalue(mu) -> QTScalar:
     return QTScalar.qt_monomial(1, shapes.n_stat(shapes.conjugate(mu)), shapes.n_stat(mu))
 
 
+#: the stored columns: (sign, lam) -> nabla^sign s_lam in the s basis
+_columns: dict = {}
+
+
+def _bar(c: QTScalar) -> QTScalar:
+    """c(1/q, 1/t) for a polynomial c: the exponents reversed over q^A t^B.
+
+    The reversed numerator has a term free of q and one free of t, so the
+    fraction is reduced already and its construction takes no gcd.
+    """
+    assert c.is_polynomial(), "nabla column with a non-polynomial coefficient"
+    terms = c.num.terms
+    a = max(eq for eq, _ in terms)
+    b = max(et for _, et in terms)
+    num = QTPoly({(a - eq, b - et): v for (eq, et), v in terms.items()})
+    return QTScalar(num, QTPoly.monomial(1, a, b))
+
+
+def _column(sign: int, lam: tuple) -> SymFun:
+    """nabla^sign s_lam (sign is 1 or -1), computed once and stored.
+
+    nabla s_lam sums c_mu ev_mu H~_mu over the H~ coordinates of s_lam;
+    nabla^(-1) s_lam is omega of the bar of nabla s_lam'.
+    """
+    key = (sign, lam)
+    col = _columns.get(key)
+    if col is None:
+        if sign > 0:
+            basis = eigenbasis(sum(lam))
+            col = SymFun.zero("s")
+            for mu, c in expand_in_eigenbasis(s_(lam)).items():
+                col = col + basis[mu].scale(c * nabla_eigenvalue(mu))
+        else:
+            conj = shapes.conjugate
+            col = SymFun("s", {conj(nu): _bar(c) for nu, c in _column(1, conj(lam)).terms.items()})
+        _columns[key] = col
+    return col
+
+
 def nabla(f: SymFun, power: int = 1) -> SymFun:
-    """Apply nabla^power (power may be negative) degreewise."""
-    out = SymFun.zero("s")
-    for mu, c in expand_in_eigenbasis(f).items():
-        ev = nabla_eigenvalue(mu) ** power
-        out = out + eigenbasis(sum(mu))[mu].scale(c * ev)
-    return out
+    """nabla^power f in the s basis (power may be negative).
+
+    f is converted to s and the stored nabla or nabla^(-1) columns are
+    applied |power| times, each time as the f-weighted sum of the columns.
+    """
+    sign = 1 if power > 0 else -1
+    g = f.convert("s")
+    for _ in range(abs(power)):
+        out = SymFun.zero("s")
+        for lam, c in g.terms.items():
+            out = out + _column(sign, lam).scale(c)
+        g = out
+    return g

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,29 @@ def test_usage_errors(capsys):
     assert cli.main(["expand", "e[("]) == 1
     assert cli.main(["bogus"]) == 1
     assert cli.main(["check", "no-such-check"]) == 1
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process: a sequence of calls in one
+    # process must answer each call as a fresh process does
+    calls = [
+        ["nabla", "--power=2", "--basis=q"],  # usage error: no expression
+        ["nabla", "--power=-1", "s[21]"],
+        ["nabla", "s[21]"],
+        ["expand", "--no-cache", "s[21]", "--basis=e"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, EHALL_CACHE_DIR=str(tmp_path / "fresh"))
+    fresh = [subprocess.run([sys.executable, "-m", "ehall.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in calls]
+    monkeypatch.setenv("EHALL_CACHE_DIR", str(tmp_path / "reused"))
+    capsys.readouterr()
+    for argv, want in zip(calls, fresh):
+        rc = cli.main(argv)
+        got = capsys.readouterr()
+        assert (rc, got.out, got.err) == (want.returncode, want.stdout, want.stderr), argv
+    assert fresh[0].returncode == 1 and "usage:" in fresh[0].stderr
+    assert [r.returncode for r in fresh[1:]] == [0, 0, 0]
 
 
 def test_arithmetic_errors_exit_1(capsys):

@@ -236,10 +236,22 @@ def _assert_matches_reference(x, num, den):
     _assert_int_or_proper_fraction(x.den)
 
 
+# c q^i t^j with a rational c: the denominators of Laurent values
+monomials = st.builds(lambda c, e: QTPoly({e: c}), rationals.filter(bool),
+                      st.tuples(exponents, exponents))
+
+
+def _assert_sum_matches_reference(x, z):
+    num = _ref_add(_ref_mul(x.num.terms, z.den.terms), _ref_mul(z.num.terms, x.den.terms))
+    _assert_matches_reference(x + z, num, _ref_mul(x.den.terms, z.den.terms))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(rational_polys, rational_polys.filter(bool), rational_polys.filter(bool))
-@example(QTPoly({(1, 0): 1}), QTPoly(3), QTPoly({(0, 1): 3, (0, 0): 1}))  # q/3: no float 1/3
-def test_normalization_matches_reference(a, b, g):
+@given(rational_polys, rational_polys.filter(bool), rational_polys.filter(bool), monomials,
+       monomials)
+@example(QTPoly({(1, 0): 1}), QTPoly(3), QTPoly({(0, 1): 3, (0, 0): 1}),  # q/3: no float 1/3
+         QTPoly({(1, 1): 1}), QTPoly({(1, 2): 1}))
+def test_normalization_matches_reference(a, b, g, m1, m2):
     # a/b, and quotients with a planted common factor g
     ag, bg = _ref_mul(a.terms, g.terms), _ref_mul(b.terms, g.terms)
     cases = [(a.terms, b.terms), (ag, bg), (g.terms, bg), (ag, g.terms)]
@@ -256,8 +268,17 @@ def test_normalization_matches_reference(a, b, g):
         sum_num = _ref_add(x.num.terms, _ref_mul(g.terms, x.den.terms))
         _assert_matches_reference(x + QTScalar(g), sum_num, x.den.terms)
         _assert_matches_reference(QTScalar(g) + x, sum_num, x.den.terms)
-        sum_num = _ref_add(_ref_mul(x.num.terms, z.den.terms), _ref_mul(z.num.terms, x.den.terms))
-        _assert_matches_reference(x + z, sum_num, _ref_mul(x.den.terms, z.den.terms))
+        _assert_sum_matches_reference(x, z)
+    # Laurent values: monomial denominators, equal or different, with each
+    # other and with a general fraction, in both orders
+    pairs = [(a, m1), (b, m1), (g, m2), (b, m1 * m2)]
+    laurent = [QTScalar(num, mono) for num, mono in pairs]
+    for x, (num, mono) in zip(laurent, pairs):
+        _assert_matches_reference(x, num.terms, mono.terms)
+    for x in laurent + [QTScalar(b, g)]:
+        for z in laurent:
+            _assert_sum_matches_reference(x, z)
+            _assert_sum_matches_reference(z, x)
 
 
 def test_sum_cancels_a_factor_of_the_common_denominator():
@@ -270,3 +291,12 @@ def test_sum_cancels_a_factor_of_the_common_denominator():
     num = _ref_add(_ref_mul(x.num.terms, z.den.terms), _ref_mul(z.num.terms, x.den.terms))
     _assert_matches_reference(x + z, num, _ref_mul(x.den.terms, z.den.terms))
     assert x + z == QTScalar(QTPoly(1), one_plus_t)
+
+
+def test_laurent_sum_cancels_monomial_content():
+    # 1/(qt) + (q-t)/(q t^2) = (t + q - t)/(q t^2) = 1/t^2: the numerator of
+    # the sum shares q with the common denominator
+    x = QTScalar(QTPoly(1), QTPoly({(1, 1): 1}))
+    z = QTScalar(QTPoly({(1, 0): 1, (0, 1): -1}), QTPoly({(1, 2): 1}))
+    _assert_sum_matches_reference(x, z)
+    assert x + z == QTScalar(QTPoly(1), QTPoly({(0, 2): 1}))

@@ -1,8 +1,10 @@
 """Modified Macdonald eigenbasis and the nabla eigenoperator."""
 
+from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from ehall import linalg, shapes, symfun
+from ehall import linalg, macdonald, shapes, symfun
 from ehall.checks import at_qt1, delta_dim
 from ehall.ehallops import apply_D, theta
 from ehall.macdonald import (
@@ -167,3 +169,98 @@ def test_schur_coefficients_at_q_t_1():
 
 def test_diagonal_harmonics_dimension_degree_6():
     assert delta_dim(at_qt1(nabla(e_(6)))).as_fraction() == 7**5
+
+
+# -- the whole-f route, kept as an oracle for the stored columns ------------
+
+
+@lru_cache(maxsize=None)
+def _eigen_matrix_inverse(n):
+    """Inverse of the matrix whose columns are the H~_mu in Schur coordinates."""
+    parts = shapes.partitions_of(n)
+    basis = eigenbasis(n)
+    mat = [[basis[mu].terms.get(lam, QT_ZERO) for mu in parts] for lam in parts]
+    return linalg.inverse(mat)
+
+
+def _expand_by_inverse(f):
+    """H~ coordinates of f by the inverse of the H~ matrix."""
+    out = {}
+    for n, comp in f.convert("s").degree_components().items():
+        parts = shapes.partitions_of(n)
+        inv = _eigen_matrix_inverse(n)
+        vec = [comp.terms.get(lam, QT_ZERO) for lam in parts]
+        for i, mu in enumerate(parts):
+            c = QT_ZERO
+            for j in range(len(parts)):
+                if vec[j]:
+                    c = c + inv[i][j] * vec[j]
+            if c:
+                out[mu] = c
+    return out
+
+
+def _nabla_whole(f, power):
+    """sum_mu c_mu(f) ev_mu^power H~_mu over the H~ coordinates of all of f."""
+    out = SymFun.zero("s")
+    for mu, c in _expand_by_inverse(f).items():
+        out = out + eigenbasis(sum(mu))[mu].scale(c * nabla_eigenvalue(mu) ** power)
+    return out
+
+
+def _coords_json(coords):
+    return {mu: c.to_json() for mu, c in coords.items()}
+
+
+def test_star_pairing_coordinates_match_inverse_oracle():
+    for n in range(7):
+        for lam in shapes.partitions_of(n):
+            f = s_(lam)
+            assert _coords_json(expand_in_eigenbasis(f)) == _coords_json(_expand_by_inverse(f))
+    f = s_((3, 1)).scale(QT_ONE / (QT_ONE - QT_Q)) + e_(2).scale(QT_T) + SymFun.one("s")
+    assert _coords_json(expand_in_eigenbasis(f)) == _coords_json(_expand_by_inverse(f))
+
+
+def _mixed_seeds():
+    """Seeds in every basis, with rational and Laurent coefficients and
+    mixed degrees, degree 0 included."""
+    q, t, one = QT_Q, QT_T, QT_ONE
+    return [
+        SymFun("s", {(3, 1): (one + q) / (one - t), (2,): q.inverse() * t**-2,
+                     (): QTScalar(Fraction(3, 2))}),
+        SymFun("e", {(2, 1): Fraction(1, 3), (1,): q / t, (): one}),
+        SymFun("h", {(3,): one - q * t, (1, 1): t.inverse(), (2, 2): Fraction(-2, 5)}),
+        SymFun("p", {(2, 2): Fraction(1, 4), (1,): QT_M, (): q**-3}),
+        SymFun("m", {(2, 1, 1): q**-2, (2,): one / (one + q)}),
+        SymFun("q", {(2, 1): one, (1,): t, (): QTScalar(Fraction(-1, 7))}),
+        SymFun.one("e"),
+    ]
+
+
+def test_nabla_columns_match_eigenbasis_route():
+    seeds = [s_(lam) for n in range(6) for lam in shapes.partitions_of(n)] + _mixed_seeds()
+    for f in seeds:
+        for power in range(-2, 3):
+            assert nabla(f, power).to_json() == _nabla_whole(f, power).to_json(), (f, power)
+
+
+def test_nabla_inverse_round_trip_degree_6():
+    for lam in shapes.partitions_of(6):
+        assert all(c.is_polynomial() for c in nabla(s_(lam)).terms.values())
+        assert nabla(nabla(s_(lam), power=-1)).to_json() == s_(lam).to_json()
+
+
+def test_nabla_column_store_bounded():
+    parts = shapes.partitions_of(4)
+    for lam in parts:
+        nabla(s_(lam))
+        nabla(s_(lam), power=-1)
+    stored = len(macdonald._columns)
+    assert sum(1 for _, lam in macdonald._columns if sum(lam) == 4) == 2 * len(parts)
+    seeds = [SymFun(basis, {lam: QT_ONE + QT_Q * k + QT_T * j})
+             for k, lam in enumerate(parts) for j, basis in enumerate("ehpm")]
+    assert len({f.key() for f in seeds}) == 20
+    for f in seeds:
+        nabla(f, power=3)
+        nabla(f, power=-3)
+    assert len(macdonald._columns) == stored
