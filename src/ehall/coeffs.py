@@ -18,7 +18,16 @@ denominator is a monomial: then only the common monomial content cancels.
 Sums of reduced values are reduced the way Henrici adds fractions: a
 polynomial plus a fraction needs no gcd, two fractions are reduced only
 against the gcd of their denominators, and that gcd is a monomial, taken
-without a cofactor call, when either denominator is one.
+without a cofactor call, when either denominator is one.  Sums and
+products of two polynomials (denominator 1) are canonical as they stand
+and skip normalization altogether.
+
+Specialization at polynomial values (t = 1, q = t = 1, t = 1 + r)
+substitutes into the numerator and the denominator as QTPolys, one row of
+equal t-exponent at a time, and reduces the quotient once; Laurent values
+such as t = 1/q evaluate each term in the field (QTPoly.subs).
+QTPoly.div_one_minus divides exactly by 1 - q or 1 - t, or reports that
+the division leaves a remainder.
 
 All values are immutable after construction and safe to share.
 """
@@ -76,6 +85,13 @@ def _scaled(terms, scale):
         return terms
     return {e: c * scale if c.__class__ is int else c.numerator * (scale // c.denominator)
             for e, c in terms.items()}
+
+
+def _power(cache, base, n):
+    """base**n, extending the list cache of base**0, base**1, ..."""
+    while len(cache) <= n:
+        cache.append(cache[-1] * base)
+    return cache[n]
 
 
 class QTPoly:
@@ -184,23 +200,62 @@ class QTPoly:
     def const(self):
         return self.terms.get((0, 0), 0)
 
+    def div_one_minus(self, var):
+        """The exact quotient self / (1 - var) for var 'q' or 't', or None.
+
+        With the exponent of the other variable fixed, the quotient's
+        coefficients are the running sums of that row in increasing
+        exponent of var; the division is exact when every row sums to 0.
+        """
+        axis = 0 if var == "q" else 1
+        rows = {}
+        for e, c in self.terms.items():
+            rows.setdefault(e[1 - axis], {})[e[axis]] = c
+        out = {}
+        for fixed, row in rows.items():
+            top = max(row)
+            acc = 0
+            get = row.get
+            for k in range(min(row), top):
+                acc += get(k, 0)
+                if acc:
+                    out[(k, fixed) if axis == 0 else (fixed, k)] = acc
+            if acc + row[top]:
+                return None
+        return _from_terms(out)
+
+    def subs_poly(self, vq, vt):
+        """self(vq, vt) for QTPoly values: each row of equal t-exponent is
+        evaluated at vq, then multiplied by vt to that exponent."""
+        pow_q, pow_t = [QTPoly(1)], [QTPoly(1)]
+        rows = {}
+        for (eq, et), c in self.terms.items():
+            rows.setdefault(et, []).append((eq, c))
+        out = {}
+        get = out.get
+        for et, row in rows.items():
+            acc = {}
+            acc_get = acc.get
+            for eq, c in row:
+                for e, v in _power(pow_q, vq, eq).terms.items():
+                    acc[e] = acc_get(e, 0) + c * v
+            val = _from_terms(acc)
+            if et:
+                val = val * _power(pow_t, vt, et)
+            for e, v in val.terms.items():
+                out[e] = get(e, 0) + v
+        return _from_terms(out)
+
     def subs(self, vq, vt):
         """Evaluate at QTScalar values vq, vt."""
-        pow_q = {0: QTScalar.one()}
-        pow_t = {0: QTScalar.one()}
-
-        def power(cache, base, n):
-            if n not in cache:
-                cache[n] = power(cache, base, n - 1) * base
-            return cache[n]
-
+        pow_q, pow_t = [QTScalar.one()], [QTScalar.one()]
         total = QTScalar.zero()
         for (eq, et), c in self.terms.items():
             term = QTScalar.from_fraction(c)
             if eq:
-                term = term * power(pow_q, vq, eq)
+                term = term * _power(pow_q, vq, eq)
             if et:
-                term = term * power(pow_t, vt, et)
+                term = term * _power(pow_t, vt, et)
             total = total + term
         return total
 
@@ -364,6 +419,8 @@ class QTScalar:
         if not other:
             return self
         if self.den == other.den:
+            if _is_one(self.den):
+                return QTScalar._raw(self.num + other.num, self.den)
             return QTScalar(self.num + other.num, self.den)
         # a polynomial p plus a reduced n/d is (n + p d)/d: already reduced,
         # since gcd(n + p d, d) = gcd(n, d) = 1, and d is monic
@@ -393,6 +450,8 @@ class QTScalar:
             return NotImplemented
         if not self or not other:
             return QTScalar.zero()
+        if _is_one(self.den) and _is_one(other.den):
+            return QTScalar._raw(self.num * other.num, self.den)
         # Cross-reduce: with both operands reduced, gcd(n1 n2, d1 d2) = 1,
         # and a product of monic polynomials is monic, so the result is
         # already canonical.
@@ -453,6 +512,11 @@ class QTScalar:
             vq = QTScalar(vq)
         if not isinstance(vt, QTScalar):
             vt = QTScalar(vt)
+        if _is_one(vq.den) and _is_one(vt.den):
+            den = self.den.subs_poly(vq.num, vt.num)
+            if not den:
+                raise PoleError(f"denominator vanishes under {bind}")
+            return QTScalar(self.num.subs_poly(vq.num, vt.num), den)
         den = self.den.subs(vq, vt)
         if not den:
             raise PoleError(f"denominator vanishes under {bind}")
@@ -476,6 +540,11 @@ class QTScalar:
         if self.den == QTPoly(1):
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+def _is_one(p: QTPoly):
+    terms = p.terms
+    return len(terms) == 1 and terms.get((0, 0)) == 1
 
 
 def _coerce(x):

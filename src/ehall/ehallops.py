@@ -12,17 +12,25 @@ op(f) = sum_lambda f[lambda] * column(op, f.basis, lambda), the column
 being op applied to the single basis element lambda.  One dict holds all
 columns, keyed by (op, basis, lambda), where op is a bracket-tree node or
 ("theta", a, b); a commutator column applies each child through its own
-columns.
+columns.  Its division by M is exact polynomial division: each
+coefficient's numerator is divided by 1 - q and then by 1 - t, which
+keeps it reduced over the same denominator; a numerator that leaves a
+remainder is multiplied by 1/M in the field instead.
 
 Theta columns follow the nabla shear (Bergeron-Garsia-Leven-Xin,
 arXiv:1404.4616): conjugating by nabla sends Q_(m,n) to Q_(m+n,n) and
 fixes 1, so Theta_(a,b)(f)(1) = nabla Theta_(a-b,b)(f)(1), and
 Theta_(0,1)(f)(1) = f.  A ("theta", a, b) column with a >= b is nabla of
 the stored (a-b, b) column, the (0, 1) column is the basis element
-itself, and only columns with a < b go through Q_(m,n).  Theta columns
-are kept in the p basis, the basis the weighted sums are taken in.  An
-explicit g in theta takes the direct route (the q_mu expansion of f and
-products of Q_(m,n)) on the whole of f.
+itself, and only columns with a < b go through Q_(m,n).  Those are built
+from q-basis prefix columns: the Q_(a mu_i, b mu_i) commute (same
+reference), so Theta(q_mu)(1) = Q_(a mu_1, b mu_1) Theta(q_(mu_2, ...))(1),
+the column at q_() is 1, and one stored q-basis column serves every mu
+that extends it; a column in any other basis is the weighted sum of the
+q-basis columns over the q_mu expansion of its basis element.  Theta
+columns are kept in the p basis, the basis the weighted sums are taken
+in.  An explicit g in theta takes the direct route (the q_mu expansion of
+f and products of Q_(m,n)) on the whole of f.
 """
 
 from __future__ import annotations
@@ -160,15 +168,37 @@ def _column(op, basis: str, lam: tuple) -> SymFun:
             left, right = op[1], op[2]
             lr = _apply(left, _column(right, basis, lam))
             rl = _apply(right, _column(left, basis, lam))
-            col = (lr - rl).scale(_M_INV)
+            col = _over_m(lr - rl)
         elif op == ("theta", 0, 1):
             col = unit.convert("p")
         elif op[1] >= op[2]:
             col = nabla(_column(("theta", op[1] - op[2], op[2]), basis, lam)).convert("p")
+        elif basis != "q":
+            col = _apply(op, symfun.expand_in_q(unit))
+        elif not lam:
+            col = SymFun.one("p")
         else:
-            col = _theta_direct(op[1], op[2], unit, SymFun.one("p"))
+            # the Q_(a mu_i, b mu_i) commute: peel off the first part
+            col = apply_Q(op[1] * lam[0], op[2] * lam[0], _column(op, "q", lam[1:]))
         _apply_memo[key] = col
     return col
+
+
+def _over_m(f: SymFun) -> SymFun:
+    """f / M, dividing each numerator exactly by (1 - q) and (1 - t).
+
+    For a reduced n/d with M | n, (n/M)/d is reduced again; any other
+    coefficient is multiplied by 1/M in the field.
+    """
+    out = {}
+    for lam, c in f.terms.items():
+        quo = c.num.div_one_minus("q")
+        if quo is not None:
+            quo = quo.div_one_minus("t")
+        out[lam] = c * _M_INV if quo is None else QTScalar._raw(quo, c.den)
+    res = SymFun.__new__(SymFun)
+    res.basis, res.terms = f.basis, out
+    return res
 
 
 def _apply(op, f: SymFun) -> SymFun:
@@ -201,8 +231,9 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
     stored column of ("theta", a, b) at lambda, Theta_(a,b)(basis element
     lambda)(1).  For a >= b that column is nabla^(a // b) of the
     (a mod b, b) column, one nabla per stored step, so Theta_(a,1)(f)(1)
-    is nabla^a f and Theta_(-1,1)(f)(1) is nabla^(-1) f.  An explicit g is
-    applied to the whole of f directly.
+    is nabla^a f and Theta_(-1,1)(f)(1) is nabla^(-1) f; for a < b it is
+    a sum of q-basis prefix columns.  An explicit g is applied to the
+    whole of f directly.
     """
     if b < 1:
         raise ValueError("theta needs b >= 1")

@@ -167,7 +167,10 @@ def _p_m_matrices(d: int):
 
     The coefficient of m_lam in p_mu is the number of ways to send each
     part of mu to a row of lam so that row i receives parts summing to
-    lam_i; the m-to-p table is the inverse matrix.
+    lam_i.  Such a lam is a coarsening of mu, so it dominates mu and comes
+    no later in partitions_of order: the table is triangular, and the
+    m-to-p table follows by forward substitution,
+    m_mu = (p_mu - sum_(lam != mu) [m_lam] p_mu * m_lam) / [m_mu] p_mu.
     """
     parts = shapes.partitions_of(d)
     if d == 0:
@@ -192,12 +195,15 @@ def _p_m_matrices(d: int):
     p2m = {}
     for mu in parts:
         p2m[mu] = {nu: Fraction(c) for nu in parts if (c := count(mu, nu))}
-    mat = [[p2m[mu].get(nu, Fraction(0)) for nu in parts] for mu in parts]
-    inv = linalg.inverse(mat)
-    # p = mat * m componentwise, so m_mu = sum_j inv[i][j] p_(parts[j])
     m2p = {}
-    for i, mu in enumerate(parts):
-        m2p[mu] = {parts[j]: inv[i][j] for j in range(len(parts)) if inv[i][j]}
+    for mu in parts:
+        acc = {mu: Fraction(1)}
+        for lam, c in p2m[mu].items():
+            if lam != mu:
+                for nu, v in m2p[lam].items():
+                    acc[nu] = acc.get(nu, 0) - c * v
+        diag = p2m[mu][mu]
+        m2p[mu] = {nu: acc[nu] / diag for nu in parts if acc.get(nu)}
     return p2m, m2p
 
 

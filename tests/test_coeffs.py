@@ -300,3 +300,72 @@ def test_laurent_sum_cancels_monomial_content():
     z = QTScalar(QTPoly({(1, 0): 1, (0, 1): -1}), QTPoly({(1, 2): 1}))
     _assert_sum_matches_reference(x, z)
     assert x + z == QTScalar(QTPoly(1), QTPoly({(0, 2): 1}))
+
+
+# -- exact division by 1 - q and 1 - t -------------------------------------
+
+ONE_MINUS_Q = QTPoly({(0, 0): 1, (1, 0): -1})
+ONE_MINUS_T = QTPoly({(0, 0): 1, (0, 1): -1})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(polys, rational_polys))
+def test_div_one_minus_undoes_the_product(p):
+    assert (p * ONE_MINUS_Q).div_one_minus("q") == p
+    assert (p * ONE_MINUS_T).div_one_minus("t") == p
+    quo = (p * M_POLY).div_one_minus("q")
+    assert quo == p * ONE_MINUS_T
+    assert quo.div_one_minus("t") == p
+    _assert_int_or_proper_fraction(quo.div_one_minus("t"))
+
+
+def test_div_one_minus_reports_inexact():
+    q, t = QTPoly.monomial(1, 1, 0), QTPoly.monomial(1, 0, 1)
+    for p in [QTPoly(1), q, QTPoly(1) - q + t, ONE_MINUS_Q * t + QTPoly(1)]:
+        assert p.div_one_minus("q") is None, p
+        assert p.div_one_minus("t") is None, p
+    # one row exact, another not
+    assert (ONE_MINUS_Q + t * t).div_one_minus("q") is None
+
+
+# -- specialization: polynomial substitution against the QTPoly.subs route --
+
+
+def _specialize_by_subs(x, bind):
+    """The field route: evaluate num and den through QTScalar sums and
+    products and divide."""
+    vq, vt = bind.get("q", QT_Q), bind.get("t", QT_T)
+    den = x.den.subs(vq, vt)
+    if not den:
+        raise PoleError(f"denominator vanishes under {bind}")
+    return x.num.subs(vq, vt) / den
+
+
+_POLY_BINDINGS = [{"t": QT_ONE}, {"q": QT_ONE, "t": QT_ONE}, {"t": QT_ONE + QT_T},
+                  {"q": QT_T, "t": QTScalar(Fraction(2, 3))}]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rational_polys, rational_polys.filter(bool), monomials)
+def test_polynomial_specialization_matches_subs_route(a, b, mono):
+    # reduced values with Fraction coefficients, Laurent ones among them
+    for x in [QTScalar(a), QTScalar(a, b), QTScalar(a, mono), QTScalar(a, b * mono)]:
+        for bind in _POLY_BINDINGS:
+            try:
+                want = _specialize_by_subs(x, bind)
+            except PoleError as exc:
+                with pytest.raises(PoleError) as got:
+                    x.specialize(bind)
+                assert str(got.value) == str(exc)
+                continue
+            assert x.specialize(bind).to_json() == want.to_json(), (x, bind)
+
+
+def test_polynomial_specialization_pole_message():
+    x = QT_ONE / (QT_ONE - QT_T)
+    bind = {"t": QT_ONE}
+    with pytest.raises(PoleError) as want:
+        _specialize_by_subs(x, bind)
+    with pytest.raises(PoleError) as got:
+        x.specialize(bind)
+    assert str(got.value) == str(want.value)

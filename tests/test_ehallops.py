@@ -134,13 +134,16 @@ _COLUMN_SEEDS = [
 ]
 
 
-@pytest.mark.parametrize("a,b", [(0, 1), (1, 1), (1, 2), (2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 1), (1, 2), (2, 1), (3, 1), (3, 2), (1, 3),
+                                 (2, 3), (1, 4)])
 def test_theta_columns_match_direct_route(a, b):
     # the explicit-g route applies Theta to the whole seed at once; for
-    # a >= b the columns go through nabla instead.  Theta_(3,2) of a
-    # degree-3 seed needs Q_(9,6), so its seeds stop at degree 2.
+    # a >= b the columns go through nabla instead, for a < b through the
+    # q-basis prefix columns.  Theta_(3,2) of a degree-3 seed needs
+    # Q_(9,6) and Theta_(2,3) needs Q_(6,9), so their seeds, and those of
+    # (1,3) and (1,4), stop at degree 2.
     for f in _COLUMN_SEEDS:
-        if (a, b) == (3, 2) and f.max_degree() > 2:
+        if b >= 2 and (a, b) != (1, 2) and f.max_degree() > 2:
             continue
         direct = theta(a, b, f, SymFun.one("p"))
         combined = theta(a, b, f)
@@ -155,6 +158,24 @@ def test_theta_11_shear_matches_commutators():
     for f in seeds:
         direct = ehallops._theta_direct(1, 1, f, SymFun.one("p"))
         assert theta(1, 1, f).convert("s").to_json() == direct.convert("s").to_json(), f
+
+
+def test_theta_prefix_columns_match_direct_route():
+    # every s_lam of output degree b|lam| <= 6, as in the criterion-9 sweep;
+    # the three operators run in one test, so their q-basis columns must be
+    # kept apart by (a, b)
+    for a, b in [(1, 2), (1, 3), (2, 3)]:
+        for d in range(6 // b + 1):
+            for lam in shapes.partitions_of(d):
+                f = s_(lam) if lam else SymFun.one("s")
+                direct = ehallops._theta_direct(a, b, f, SymFun.one("p"))
+                got = theta(a, b, f)
+                assert got.convert("s").to_json() == direct.convert("s").to_json(), (a, b, f)
+        assert (("theta", a, b), "q", (1,)) in ehallops._apply_memo
+
+
+def test_theta_prefix_column_store_bounded():
+    _assert_store_bounded_at_degree_3(lambda f: theta(1, 2, f))
 
 
 def test_theta_negative_a_columns_match_explicit_g():
@@ -210,9 +231,11 @@ def test_apply_Q_matches_bracket_recursion(m, n):
         assert apply_Q(m, n, f).convert("s").to_json() == want, f
 
 
-def test_column_store_bounded_at_one_degree():
+def _assert_store_bounded_at_degree_3(op):
+    """Once op has met every s_lam with |lam| = 3, 20 distinct degree-3
+    seeds add no column."""
     parts = shapes.partitions_of(3)
-    apply_Q(2, 1, SymFun("s", {lam: QT_ONE for lam in parts}))
+    op(SymFun("s", {lam: QT_ONE for lam in parts}))
     before = len(ehallops._apply_memo)
     coeffs = [QT_ONE, QT_Q, QT_T, _NEG_QT_INV, _ONE_OVER_1_MINUS_Q]
     seen = set()
@@ -220,6 +243,10 @@ def test_column_store_bounded_at_one_degree():
         f = SymFun("s", {lam: coeffs[(i + j) % 5] * QTScalar(i + 1)
                          for j, lam in enumerate(parts) if (i >> j) & 1 or j == i % 3})
         seen.add(f.key())
-        apply_Q(2, 1, f)
+        op(f)
     assert len(seen) == 20
     assert len(ehallops._apply_memo) == before
+
+
+def test_column_store_bounded_at_one_degree():
+    _assert_store_bounded_at_degree_3(lambda f: apply_Q(2, 1, f))

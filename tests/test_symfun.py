@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehall import shapes, symfun
+from ehall import linalg, shapes, symfun
 from ehall.coeffs import QT_M, QT_ONE, QT_Q, QT_T, QTScalar, qt
 from ehall.symfun import (
     Alphabet,
@@ -214,3 +214,17 @@ def test_p_m_tables_match_monomial_expansion():
             assert p2m[mu] == want, (d, mu)
             # Fraction entries keep the inversion to m2p exact
             assert all(type(c) is Fraction for c in p2m[mu].values())
+
+
+def test_m_to_p_table_matches_inverse_oracle():
+    # the m-to-p table by forward substitution against inverting the p-to-m
+    # matrix, entry for entry and in the same order
+    for d in range(1, 9):
+        parts = shapes.partitions_of(d)
+        p2m, m2p = symfun._p_m_matrices(d)
+        mat = [[p2m[mu].get(nu, Fraction(0)) for nu in parts] for mu in parts]
+        inv = linalg.inverse(mat)
+        for i, mu in enumerate(parts):
+            want = {parts[j]: inv[i][j] for j in range(len(parts)) if inv[i][j]}
+            assert list(m2p[mu].items()) == list(want.items()), (d, mu)
+            assert all(type(c) is Fraction for c in m2p[mu].values())
