@@ -214,6 +214,27 @@ def _coprime_pairs(d: int, limit: int):
     return out
 
 
+def _seed_grid(limit):
+    """(mu, a, b) for every mu of degree d <= limit and coprime (a, b) with
+    ad, bd <= limit: the grid of the seed checks."""
+    for d in range(1, limit + 1):
+        for mu in shapes.partitions_of(d):
+            for a, b in _coprime_pairs(d, limit):
+                yield mu, a, b
+
+
+def _hook_differences(limit):
+    """(params, f_ab(hook(j,k)) - q f_ab(hook(j+1,k-1))) over the hook grid,
+    j + k = d - 1 for 2 <= d <= limit."""
+    for d in range(2, limit + 1):
+        for j in range(d - 1):
+            k = d - 1 - j
+            for a, b in _coprime_pairs(d, limit):
+                diff = f_ab(hook_seed(j, k), a, b) - f_ab(hook_seed(j + 1, k - 1), a, b).scale(
+                    _mono(1, 1, 0))
+                yield {"j": j, "k": k, "a": a, "b": b}, diff
+
+
 def _grid_mn(limit, min_m=1, min_n=1):
     for m in range(min_m, limit + 1):
         for n in range(min_n, limit + 1):
@@ -228,19 +249,15 @@ def _conjectural(v: Verdict) -> Verdict:
 
 
 def _check_schur_seed(limit):
-    for d in range(1, limit + 1):
-        for mu in shapes.partitions_of(d):
-            for a, b in _coprime_pairs(d, limit):
-                yield _conjectural(is_schur_positive(
-                    f_ab(schur_seed(mu), a, b), "schur-seed", {"mu": mu, "a": a, "b": b}))
+    for mu, a, b in _seed_grid(limit):
+        yield _conjectural(is_schur_positive(
+            f_ab(schur_seed(mu), a, b), "schur-seed", {"mu": mu, "a": a, "b": b}))
 
 
 def _check_monomial_seed(limit):
-    for d in range(1, limit + 1):
-        for mu in shapes.partitions_of(d):
-            for a, b in _coprime_pairs(d, limit):
-                yield _conjectural(is_schur_positive(
-                    f_ab(monomial_seed(mu), a, b), "monomial-seed", {"mu": mu, "a": a, "b": b}))
+    for mu, a, b in _seed_grid(limit):
+        yield _conjectural(is_schur_positive(
+            f_ab(monomial_seed(mu), a, b), "monomial-seed", {"mu": mu, "a": a, "b": b}))
 
 
 def _check_incl_e(limit):
@@ -257,14 +274,8 @@ def _check_incl_bar(limit):
 
 
 def _check_incl_hook(limit):
-    for d in range(2, limit + 1):
-        for j in range(d - 1):
-            k = d - 1 - j
-            for a, b in _coprime_pairs(d, limit):
-                diff = f_ab(hook_seed(j, k), a, b) - f_ab(hook_seed(j + 1, k - 1), a, b).scale(
-                    _mono(1, 1, 0))
-                yield _conjectural(is_schur_positive(
-                    diff, "incl-hook", {"j": j, "k": k, "a": a, "b": b}))
+    for params, diff in _hook_differences(limit):
+        yield _conjectural(is_schur_positive(diff, "incl-hook", params))
 
 
 def _check_incl_eh(limit):
@@ -287,15 +298,13 @@ def _check_incl_eh_bar(limit):
 
 
 def _check_transpose(limit):
-    for d in range(1, limit + 1):
-        for mu in shapes.partitions_of(d):
-            for a, b in _coprime_pairs(d, limit):
-                if not (1 <= a <= b):
-                    continue
-                seed = schur_seed(mu)
-                diff = bar(f_ab(seed, a, b)) - bar(f_ab(seed, b, a))
-                yield _conjectural(is_schur_positive(
-                    diff, "transpose", {"mu": mu, "a": a, "b": b}))
+    for mu, a, b in _seed_grid(limit):
+        if not (1 <= a <= b):
+            continue
+        seed = schur_seed(mu)
+        diff = bar(f_ab(seed, a, b)) - bar(f_ab(seed, b, a))
+        yield _conjectural(is_schur_positive(
+            diff, "transpose", {"mu": mu, "a": a, "b": b}))
 
 
 def _check_t1_mult(limit):
@@ -326,22 +335,14 @@ def _check_epos_h(limit):
 
 
 def _check_epos_hook_r(limit):
-    for d in range(2, limit + 1):
-        for j in range(d - 1):
-            k = d - 1 - j
-            for a, b in _coprime_pairs(d, limit):
-                diff = f_ab(hook_seed(j, k), a, b) - f_ab(hook_seed(j + 1, k - 1), a, b).scale(
-                    _mono(1, 1, 0))
-                yield _conjectural(is_e_positive(
-                    at_t1r(diff), "epos-hook-r", {"j": j, "k": k, "a": a, "b": b}))
+    for params, diff in _hook_differences(limit):
+        yield _conjectural(is_e_positive(at_t1r(diff), "epos-hook-r", params))
 
 
 def _check_epos_m_r(limit):
-    for d in range(1, limit + 1):
-        for mu in shapes.partitions_of(d):
-            for a, b in _coprime_pairs(d, limit):
-                f = at_t1r(f_ab(monomial_seed(mu), a, b))
-                yield _conjectural(is_e_positive(f, "epos-m-r", {"mu": mu, "a": a, "b": b}))
+    for mu, a, b in _seed_grid(limit):
+        f = at_t1r(f_ab(monomial_seed(mu), a, b))
+        yield _conjectural(is_e_positive(f, "epos-m-r", {"mu": mu, "a": a, "b": b}))
 
 
 def _check_epos_e_r(limit):
@@ -399,23 +400,21 @@ def q_mu_ab_at_11(a: int, b: int, mu) -> SymFun:
 
 
 def _check_dim(limit, which):
-    for d in range(1, limit + 1):
-        for mu in shapes.partitions_of(d):
-            for a, b in _coprime_pairs(d, limit):
-                f = q_mu_ab_at_11(a, b, mu)
-                if which == "delta":
-                    got = delta_dim(f).as_fraction()
-                    want = delta_formula(a, b, mu)
-                else:
-                    got = eps_dim(f).as_fraction()
-                    want = eps_formula(a, b, mu)
-                ok = got == want
-                v = Verdict(f"dim-{which}", {"mu": mu, "a": a, "b": b},
-                            "holds" if ok else "fails",
-                            detail=f"got {got}, formula {want}")
-                if not ok:
-                    v.witness = (tuple(mu), str(got))
-                yield v
+    for mu, a, b in _seed_grid(limit):
+        f = q_mu_ab_at_11(a, b, mu)
+        if which == "delta":
+            got = delta_dim(f).as_fraction()
+            want = delta_formula(a, b, mu)
+        else:
+            got = eps_dim(f).as_fraction()
+            want = eps_formula(a, b, mu)
+        ok = got == want
+        v = Verdict(f"dim-{which}", {"mu": mu, "a": a, "b": b},
+                    "holds" if ok else "fails",
+                    detail=f"got {got}, formula {want}")
+        if not ok:
+            v.witness = (tuple(mu), str(got))
+        yield v
 
 
 def _check_qt1_formula(limit):

@@ -200,25 +200,25 @@ def parking(p: DyckPath):
     return out
 
 
-def rank(x: int, y: int, m: int, n: int) -> int:
-    return n * m - y * m - x * n
-
-
 def descent_comp(pf: ParkingFun):
-    """Composition of n recording where label i+1 sits at rank <= label i.
+    """Composition of n with a part ending at each i where label i+1 sits
+    on a higher south step than label i.
 
-    The step at height k starts at cell (word[k], k); one pass over the
-    labels reads the rank of every label's cell, and a part ends at each
-    such descent.
+    The rank nm - ym - xn of the cell (word[k], k) where the step at
+    height k starts falls strictly with k (y rises strictly and x weakly
+    along a path), so this is the descent test rank(i+1) <= rank(i) on those
+    cells, read off the heights in one pass.  It is not the diagonal reading
+    of Bergeron-Garsia-Leven-Xin (arXiv:1404.4616), whose ranks interleave
+    labels on different diagonals; switching to that reading would change
+    the compositions returned here.
     """
-    p = pf.path
-    m, n, w = p.m, p.n, p.word
-    ranks = [0] * n
+    n = pf.path.n
+    heights = [0] * n
     for k, lab in enumerate(pf.labels):
-        ranks[lab - 1] = rank(w[k], k, m, n)
+        heights[lab - 1] = k
     parts, run = [], 1
     for i in range(1, n):
-        if ranks[i - 1] >= ranks[i]:
+        if heights[i] > heights[i - 1]:
             parts.append(run)
             run = 1
         else:

@@ -130,19 +130,6 @@ def subset_to_composition(d: int, S):
     return tuple(parts)
 
 
-def dominance_leq(mu, nu) -> bool:
-    """mu <= nu in dominance order (same size)."""
-    if sum(mu) != sum(nu):
-        return False
-    sm = sn = 0
-    for i in range(max(len(mu), len(nu))):
-        sm += mu[i] if i < len(mu) else 0
-        sn += nu[i] if i < len(nu) else 0
-        if sm > sn:
-            return False
-    return True
-
-
 def union_parts(mu, nu):
     """Multiset union of parts, sorted decreasingly (product of p/e/h/q indices)."""
     return tuple(sorted(mu + nu, reverse=True))

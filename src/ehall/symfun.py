@@ -8,7 +8,8 @@ the alternating hook-Schur combinations q_d.
 The pivot basis for conversions is p: e and h reach it through Newton's
 identities, s through Murnaghan-Nakayama characters, m through counting
 the ways to merge the parts of mu into the rows of lam, and the q-basis
-through a per-degree linear solve.
+through the integer h<->p tables times a factor in qt, from
+q_d = (-qt)^(1-d) h_d[X(1-qt)] / (1-qt).
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg, shapes
+# linalg has no caller here; the import keeps ehall.linalg loaded for
+# perfbench/tracer.py, which wraps linalg.inverse and linalg.nullspace by
+# module name after importing ehall.cli and ehall.ehallops
+from . import linalg  # noqa: F401
+from . import shapes
 from .coeffs import QT_ONE, QT_ZERO, QTPoly, QTScalar
 
 BASES = "mehpsq"
-
-
-class TruncationError(ValueError):
-    """A z-series coefficient beyond the computed truncation was requested."""
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +448,6 @@ def mul(f: SymFun, g: SymFun) -> SymFun:
     return SymFun(basis, out)
 
 
-def convert(f: SymFun, target: str) -> SymFun:
-    return f.convert(target)
-
-
 # ---------------------------------------------------------------------------
 # hook Schur functions and the q basis
 # ---------------------------------------------------------------------------
@@ -461,39 +458,33 @@ def hook_schur(j: int, k: int) -> SymFun:
     return s_(shapes.hook(j, k))
 
 
-@lru_cache(maxsize=None)
-def _q_d_in_p(d: int):
-    """q_d = sum_(j+k=d-1) (-qt)^(-j) s_(j|k), expanded into p."""
-    if d < 1:
-        raise ValueError("q_d needs d >= 1")
-    out = {}
-    for j in range(d):
-        k = d - 1 - j
-        coeff = QTScalar.qt_monomial((-1) ** j, -j, -j)
-        for nu, f in _s_in_p(shapes.hook(j, k)).items():
-            s = out.get(nu, QT_ZERO) + coeff * f
-            if s:
-                out[nu] = s
-            else:
-                out.pop(nu, None)
+def _one_minus_qt_powers(rho: tuple) -> QTPoly:
+    """prod_j (1 - (qt)^rho_j): the plethysm X -> X(1 - qt) on p_rho."""
+    out = QTPoly(1)
+    for part in rho:
+        out = out * (QTPoly(1) - QTPoly.monomial(1, part, part))
     return out
+
+
+def _q_scale(mu: tuple) -> QTPoly:
+    """prod_i (-qt)^(mu_i - 1) (1 - qt), so that q_mu = h_mu[X(1 - qt)] / it."""
+    d, ell = sum(mu), len(mu)
+    one_minus_qt = QTPoly(1) - QTPoly.monomial(1, 1, 1)
+    return QTPoly.monomial((-1) ** (d - ell), d - ell, d - ell) * one_minus_qt**ell
 
 
 @lru_cache(maxsize=None)
 def _q_mu_in_p(mu: tuple):
-    out = {(): QT_ONE}
-    for part in mu:
-        nxt = {}
-        for nu1, c1 in out.items():
-            for nu2, c2 in _q_d_in_p(part).items():
-                key = shapes.union_parts(nu1, nu2)
-                s = nxt.get(key, QT_ZERO) + c1 * c2
-                if s:
-                    nxt[key] = s
-                else:
-                    nxt.pop(key, None)
-        out = nxt
-    return out
+    """q_mu in the p basis, from the hook expansion of h_d[X(1 - u)].
+
+    h_d[X(1 - u)] = (1 - u) sum_k (-u)^k s_(d-k,1^k) (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.3) gives, at u = qt,
+    q_d = (-qt)^(1-d) h_d[X(1 - qt)] / (1 - qt).  So
+    [p_rho] q_mu = [p_rho] h_mu * prod_j (1 - (qt)^rho_j) / _q_scale(mu).
+    """
+    scale = _q_scale(mu)
+    return {rho: QTScalar(_one_minus_qt_powers(rho) * c, scale)
+            for rho, c in _gen_prod("h>p", mu).items()}
 
 
 def q_d(d: int) -> SymFun:
@@ -510,14 +501,26 @@ def q_mu(mu) -> SymFun:
 
 @lru_cache(maxsize=None)
 def _q_inverse(d: int):
-    """Inverse transition: p-coordinates -> q_mu-coordinates at degree d."""
+    """Transition matrix from p- to q_mu-coordinates at degree d.
+
+    Row i, column j is [q_mu] p_rho for mu, rho the i-th and j-th partitions
+    of d: inverting the closed form of _q_mu_in_p,
+    [q_mu] p_rho = [h_mu] p_rho * _q_scale(mu) / prod_j (1 - (qt)^rho_j).
+    """
     parts = shapes.partitions_of(d)
-    mat = [[_q_mu_in_p(mu).get(nu, QT_ZERO) for mu in parts] for nu in parts]
-    return linalg.inverse(mat)
+    index = {mu: i for i, mu in enumerate(parts)}
+    scales = [_q_scale(mu) for mu in parts]
+    inv = [[QT_ZERO] * len(parts) for _ in parts]
+    for j, rho in enumerate(parts):
+        den = _one_minus_qt_powers(rho)
+        for mu, c in _gen_prod("p>h", rho).items():
+            i = index[mu]
+            inv[i][j] = QTScalar(scales[i] * c, den)
+    return inv
 
 
 def expand_in_q(f: SymFun) -> SymFun:
-    """Express f in the q_mu basis (degreewise linear solve)."""
+    """Express f in the q_mu basis: per degree, _q_inverse times the p-coordinates."""
     out = {}
     for d, comp in f.convert("p").degree_components().items():
         parts = shapes.partitions_of(d)
@@ -622,27 +625,20 @@ class Alphabet:
 class ZLaurent:
     """A finite Laurent series in z with SymFun coefficients."""
 
-    def __init__(self, coeffs, bound=None):
+    def __init__(self, coeffs):
         self.coeffs = {k: v for k, v in coeffs.items() if v}
-        self.bound = bound
 
     def coeff(self, k) -> SymFun:
         if k in self.coeffs:
             return self.coeffs[k]
-        if self.bound is not None and abs(k) > self.bound:
-            raise TruncationError(f"z^{k} beyond truncation bound {self.bound}")
         return SymFun.zero("p")
 
     def exponents(self):
         return sorted(self.coeffs)
 
 
-def plethys(f: SymFun, alphabet: Alphabet, z_truncation=None) -> ZLaurent:
-    """f[A] as a Laurent series in z (exact and finite for these alphabets).
-
-    If z_truncation is given, exponents with |e| > z_truncation are dropped
-    and later extraction beyond the bound raises TruncationError.
-    """
+def plethys(f: SymFun, alphabet: Alphabet) -> ZLaurent:
+    """f[A] as a Laurent series in z (exact and finite for these alphabets)."""
     p = f.convert("p")
     total = {}
     for mu, c in p.terms.items():
@@ -653,15 +649,13 @@ def plethys(f: SymFun, alphabet: Alphabet, z_truncation=None) -> ZLaurent:
             for z1, g1 in series.items():
                 for z2, g2 in image:
                     z = z1 + z2
-                    if z_truncation is not None and abs(z) > z_truncation:
-                        continue
                     prod = mul(g1, g2)
                     nxt[z] = nxt[z] + prod if z in nxt else prod
             series = nxt
         for z, g in series.items():
             g = g.scale(c)
             total[z] = total[z] + g if z in total else g
-    return ZLaurent(total, bound=z_truncation)
+    return ZLaurent(total)
 
 
 def plethys_whole(f: SymFun, alphabet: Alphabet) -> SymFun:

@@ -24,10 +24,10 @@ from ehall.rectcomb import (
     bizley,
     enumerate_paths,
     path_enumerator,
-    rank,
     staircase,
 )
 from ehall.symfun import SymFun, e_, h_, m_, q_d, s_
+from test_rectcomb import rank
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -189,10 +189,10 @@ def _degree_bound(tokens):
 
 
 def _cheap(tokens):
-    """Keep the tokens that hold every prefix to degree 6 (a few ms)."""
+    """Keep the tokens that hold every prefix to degree 12 (under a second)."""
     kept = []
     for tok in tokens:
-        if _degree_bound(kept + [tok]) <= 6:
+        if _degree_bound(kept + [tok]) <= 12:
             kept.append(tok)
     return " ".join(kept)
 

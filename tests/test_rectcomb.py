@@ -18,12 +18,16 @@ from ehall.rectcomb import (
     parking,
     path_enumerator,
     primitive_enumerator,
-    rank,
     return_positions,
     returns_comp,
     riser_comp,
     staircase,
 )
+
+
+def rank(x: int, y: int, m: int, n: int) -> int:
+    """Rank nm - ym - xn of the cell (x, y) in the m x n rectangle."""
+    return n * m - y * m - x * n
 
 
 def is_primitive(p: DyckPath) -> bool:

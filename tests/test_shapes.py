@@ -89,15 +89,6 @@ def test_composition_subset_bijection(d, data):
     assert all(1 <= s < d for s in S)
 
 
-def test_dominance():
-    assert shapes.dominance_leq((1, 1, 1), (3,))
-    assert shapes.dominance_leq((2, 1), (3,))
-    assert not shapes.dominance_leq((3,), (2, 1))
-    assert shapes.dominance_leq((2, 2), (3, 1))
-    assert not shapes.dominance_leq((3, 1), (2, 2))
-    assert not shapes.dominance_leq((2, 1), (2,))  # different sizes
-
-
 def test_check_partition_rejects():
     with pytest.raises(ValueError):
         shapes.check_partition((1, 2))

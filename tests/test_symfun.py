@@ -11,7 +11,6 @@ from ehall.coeffs import QT_M, QT_ONE, QT_Q, QT_T, QTScalar, qt
 from ehall.symfun import (
     Alphabet,
     SymFun,
-    TruncationError,
     e_,
     expand_in_q,
     h_,
@@ -21,7 +20,6 @@ from ehall.symfun import (
     mul,
     omega,
     p_,
-    plethys,
     plethys_whole,
     q_d,
     q_mu,
@@ -158,14 +156,6 @@ def test_plethysm_constant_alphabet():
         "p", {(1, 1): QTScalar(2), (2,): -QT_ONE})
 
 
-def test_plethysm_truncation():
-    series = plethys(e_(2), Alphabet.x_plus_m_over_z(), z_truncation=1)
-    series.coeff(0)
-    series.coeff(1)
-    with pytest.raises(TruncationError):
-        series.coeff(-2)
-
-
 def test_plethys_whole_rejects_z_content():
     with pytest.raises(AssertionError):
         plethys_whole(e_(1), Alphabet.x_plus_m_over_z())
@@ -228,3 +218,46 @@ def test_m_to_p_table_matches_inverse_oracle():
             want = {parts[j]: inv[i][j] for j in range(len(parts)) if inv[i][j]}
             assert list(m2p[mu].items()) == list(want.items()), (d, mu)
             assert all(type(c) is Fraction for c in m2p[mu].values())
+
+
+# -- the q-basis tables against the hook convolution and elimination -------
+
+
+def _q_d_in_p_by_hooks(d: int):
+    """Oracle: q_d = sum_(j+k=d-1) (-qt)^(-j) s_(j|k), expanded into p."""
+    out = {}
+    for j in range(d):
+        coeff = QTScalar.qt_monomial((-1) ** j, -j, -j)
+        for nu, f in symfun._s_in_p(shapes.hook(j, d - 1 - j)).items():
+            out[nu] = out.get(nu, QTScalar(0)) + coeff * f
+    return {nu: c for nu, c in out.items() if c}
+
+
+def _q_mu_in_p_by_hooks(mu):
+    """Oracle: q_mu as the product of the q_(mu_i), convolved in p."""
+    out = {(): QT_ONE}
+    for part in mu:
+        nxt = {}
+        for nu1, c1 in out.items():
+            for nu2, c2 in _q_d_in_p_by_hooks(part).items():
+                key = shapes.union_parts(nu1, nu2)
+                nxt[key] = nxt.get(key, QTScalar(0)) + c1 * c2
+        out = {nu: c for nu, c in nxt.items() if c}
+    return out
+
+
+def _json(table):
+    return {nu: c.to_json() for nu, c in table.items()}
+
+
+def test_q_tables_match_hook_and_elimination_oracles():
+    # the closed forms against the hook convolution (q to p) and against
+    # Gaussian elimination of its transition matrix (p to q), entry for entry
+    for d in range(1, 8):
+        parts = shapes.partitions_of(d)
+        old = {mu: _q_mu_in_p_by_hooks(mu) for mu in parts}
+        for mu in parts:
+            assert _json(symfun._q_mu_in_p(mu)) == _json(old[mu]), mu
+        mat = [[old[mu].get(nu, QTScalar(0)) for mu in parts] for nu in parts]
+        want = [[c.to_json() for c in row] for row in linalg.inverse(mat)]
+        assert [[c.to_json() for c in row] for row in symfun._q_inverse(d)] == want, d
