@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from . import ehallops, macdonald, rectcomb, shapes, symfun
+from . import rectcomb, shapes, symfun
 from .coeffs import QT_ONE, QT_T, QTScalar
 from .ehallops import c_alpha, theta
 from .symfun import SymFun, hall_scalar, specialize_coeffs
@@ -33,9 +33,6 @@ class Verdict:
     witness: tuple | None = None  # (partition, coefficient repr)
     detail: str = ""
     runtime_millis: int = 0
-
-    def ok(self) -> bool:
-        return self.status != "fails"
 
     def to_json(self):
         out = {
@@ -166,11 +163,7 @@ def h_mn_normalized(m: int, n: int) -> SymFun:
 
 def bar(f: SymFun) -> SymFun:
     """First-column removal, extended linearly over Schur indices."""
-    g = f.convert("s")
-    out = SymFun.zero("s")
-    for mu, c in g.terms.items():
-        out = out + SymFun("s", {shapes.bar(mu): c})
-    return out
+    return symfun.sum_columns("s", f.convert("s").terms, lambda mu: {shapes.bar(mu): QT_ONE})
 
 
 def at_t1(f: SymFun) -> SymFun:
@@ -248,16 +241,16 @@ def _conjectural(v: Verdict) -> Verdict:
     return v
 
 
-def _check_schur_seed(limit):
-    for mu, a, b in _seed_grid(limit):
-        yield _conjectural(is_schur_positive(
-            f_ab(schur_seed(mu), a, b), "schur-seed", {"mu": mu, "a": a, "b": b}))
+def _equality(name, params, ok) -> Verdict:
+    """A reported verdict on whether two routes gave the same function."""
+    return Verdict(name, params, "reported", None if ok else ((), "lhs != rhs"),
+                   "equal" if ok else "NOT equal")
 
 
-def _check_monomial_seed(limit):
+def _check_seed(limit, name, seed):
     for mu, a, b in _seed_grid(limit):
         yield _conjectural(is_schur_positive(
-            f_ab(monomial_seed(mu), a, b), "monomial-seed", {"mu": mu, "a": a, "b": b}))
+            f_ab(seed(mu), a, b), name, {"mu": mu, "a": a, "b": b}))
 
 
 def _check_incl_e(limit):
@@ -318,13 +311,9 @@ def _check_t1_mult(limit):
                 continue
             lhs = at_t1(theta(a, b, symfun.mul(f, g)))
             rhs = symfun.mul(at_t1(theta(a, b, f)), at_t1(theta(a, b, g)))
-            ok = lhs == rhs
-            v = Verdict("t1-mult", {"a": a, "b": b,
-                                    "degrees": (f.max_degree(), g.max_degree())},
-                        "reported", detail="equal" if ok else "NOT equal")
-            if not ok:
-                v.witness = ((), "lhs != rhs")
-            yield v
+            yield _equality("t1-mult", {"a": a, "b": b,
+                                        "degrees": (f.max_degree(), g.max_degree())},
+                            lhs == rhs)
 
 
 def _check_epos_h(limit):
@@ -362,12 +351,7 @@ def _check_retours(limit):
             for a, b in _coprime_pairs(d, limit):
                 lhs = at_t1(f_ab(c_alpha(alpha), a, b))
                 rhs = rectcomb.path_enumerator(a * d, b * d, returns_at=alpha)
-                ok = lhs == rhs
-                v = Verdict("retours", {"alpha": alpha, "a": a, "b": b},
-                            "reported", detail="equal" if ok else "NOT equal")
-                if not ok:
-                    v.witness = ((), "lhs != rhs")
-                yield v
+                yield _equality("retours", {"alpha": alpha, "a": a, "b": b}, lhs == rhs)
 
 
 def delta_formula(a: int, b: int, mu) -> Fraction:
@@ -432,8 +416,8 @@ def _check_qt1_formula(limit):
 
 
 CHECKS = {
-    "schur-seed": _check_schur_seed,
-    "monomial-seed": _check_monomial_seed,
+    "schur-seed": lambda limit: _check_seed(limit, "schur-seed", schur_seed),
+    "monomial-seed": lambda limit: _check_seed(limit, "monomial-seed", monomial_seed),
     "incl-e": _check_incl_e,
     "incl-bar": _check_incl_bar,
     "incl-hook": _check_incl_hook,

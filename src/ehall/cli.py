@@ -278,7 +278,10 @@ def _cached_symfun(tag, params, compute, use_cache):
             _warn_corrupt(key, exc)  # recomputed and rewritten below
     t0 = time.monotonic()
     result = compute()
-    cache_put(key, result.to_json(), int((time.monotonic() - t0) * 1000))
+    try:
+        cache_put(key, result.to_json(), int((time.monotonic() - t0) * 1000))
+    except OSError as exc:  # an unusable cache directory loses no result
+        print(f"warning: cache not written: {exc}", file=sys.stderr)
     return result
 
 

@@ -617,9 +617,3 @@ QT_ZERO = QTScalar.zero()
 # M = (1-t)(1-q), ubiquitous in the operator calculus
 M_POLY = (QTPoly(1) - QTPoly.monomial(1, 0, 1)) * (QTPoly(1) - QTPoly.monomial(1, 1, 0))
 QT_M = QTScalar(M_POLY)
-
-
-def qt(num, den=1):
-    """Convenience constructor: qt(poly-dict/int, poly-dict/int)."""
-    return QTScalar(num if isinstance(num, QTPoly) else QTPoly(num),
-                    den if isinstance(den, QTPoly) else QTPoly(den))

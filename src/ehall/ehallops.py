@@ -9,13 +9,15 @@ Conventions (fixed once, validated by the test suite):
 
 Q_(m,n) and f -> Theta_(a,b)(f)(1) are linear maps applied as
 op(f) = sum_lambda f[lambda] * column(op, f.basis, lambda), the column
-being op applied to the single basis element lambda.  One dict holds all
-columns, keyed by (op, basis, lambda), where op is a bracket-tree node or
-("theta", a, b); a commutator column applies each child through its own
-columns.  Its division by M is exact polynomial division: each
-coefficient's numerator is divided by 1 - q and then by 1 - t, which
-keeps it reduced over the same denominator; a numerator that leaves a
-remainder is multiplied by 1/M in the field instead.
+being op applied to the single basis element lambda; the sum is
+symfun.sum_columns, the column sum that every linear map in the package
+shares.  One dict holds all columns, keyed by (op, basis, lambda), where
+op is a bracket-tree node or ("theta", a, b); a commutator column applies
+each child through its own columns.  Its division by M is exact
+polynomial division: each coefficient's numerator is divided by 1 - q and
+then by 1 - t, which keeps it reduced over the same denominator; a
+numerator that leaves a remainder is multiplied by 1/M in the field
+instead.
 
 Theta columns follow the nabla shear (Bergeron-Garsia-Leven-Xin,
 arXiv:1404.4616): conjugating by nabla sends Q_(m,n) to Q_(m+n,n) and
@@ -35,14 +37,13 @@ f and products of Q_(m,n)) on the whole of f.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from . import symfun
 from .coeffs import QT_M, QT_ONE, QTScalar
 from .macdonald import nabla
-from .symfun import Alphabet, SymFun, mul, plethys
+from .symfun import Alphabet, SymFun, mul, plethys, sum_columns
 
 #: bump when any operator convention changes, so cached results invalidate
 CALIBRATION_VERSION = "ehall-ops-1"
@@ -196,17 +197,12 @@ def _over_m(f: SymFun) -> SymFun:
         if quo is not None:
             quo = quo.div_one_minus("t")
         out[lam] = c * _M_INV if quo is None else QTScalar._raw(quo, c.den)
-    res = SymFun.__new__(SymFun)
-    res.basis, res.terms = f.basis, out
-    return res
+    return SymFun._raw(f.basis, out)
 
 
 def _apply(op, f: SymFun) -> SymFun:
     """op(f) as the f-weighted sum of the columns of op."""
-    out = SymFun.zero("p")
-    for lam, c in f.terms.items():
-        out = out + _column(op, f.basis, lam).scale(c)
-    return out
+    return sum_columns("p", f.terms, lambda lam: _column(op, f.basis, lam).terms)
 
 
 def apply_Q(m: int, n: int, f: SymFun) -> SymFun:

@@ -35,7 +35,9 @@ H~_mu[X; q, t] (Garsia-Haiman), nabla^(-1) = omega bar(nabla) omega, where
 the bar sends q, t to 1/q, 1/t: the coefficient of s_nu' in nabla^(-1) s_lam
 is the bar of the coefficient of s_nu in nabla s_lam', a polynomial.
 nabla^k applies the sign(k) columns |k| times, so the store holds at most
-2 p(n) columns of degree n.
+2 p(n) columns of degree n.  Both nabla s_lam, the sum of c_mu ev_mu H~_mu,
+and each power step of nabla are symfun.sum_columns, the column sum that
+every linear map in the package shares.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 
 from . import shapes
 from .coeffs import QT_ZERO, QTPoly, QTScalar
-from .symfun import SymFun, s_
+from .symfun import SymFun, s_, sum_columns
 
 
 def _reading_order(mu):
@@ -218,9 +220,9 @@ def _column(sign: int, lam: tuple) -> SymFun:
     if col is None:
         if sign > 0:
             basis = eigenbasis(sum(lam))
-            col = SymFun.zero("s")
-            for mu, c in expand_in_eigenbasis(s_(lam)).items():
-                col = col + basis[mu].scale(c * nabla_eigenvalue(mu))
+            coords = {mu: c * nabla_eigenvalue(mu)
+                      for mu, c in expand_in_eigenbasis(s_(lam)).items()}
+            col = sum_columns("s", coords, lambda mu: basis[mu].terms)
         else:
             conj = shapes.conjugate
             col = SymFun("s", {conj(nu): _bar(c) for nu, c in _column(1, conj(lam)).terms.items()})
@@ -237,8 +239,5 @@ def nabla(f: SymFun, power: int = 1) -> SymFun:
     sign = 1 if power > 0 else -1
     g = f.convert("s")
     for _ in range(abs(power)):
-        out = SymFun.zero("s")
-        for lam, c in g.terms.items():
-            out = out + _column(sign, lam).scale(c)
-        g = out
+        g = sum_columns("s", g.terms, lambda lam: _column(sign, lam).terms)
     return g

@@ -9,7 +9,15 @@ The pivot basis for conversions is p: e and h reach it through Newton's
 identities, s through Murnaghan-Nakayama characters, m through counting
 the ways to merge the parts of mu into the rows of lam, and the q-basis
 through the integer h<->p tables times a factor in qt, from
-q_d = (-qt)^(1-d) h_d[X(1-qt)] / (1-qt).
+q_d = (-qt)^(1-d) h_d[X(1-qt)] / (1-qt).  Each direction of each basis
+change is a table of columns, the expansion of one basis element, cached
+per partition; the q basis is kept as columns in both directions, with no
+per-degree matrix.
+
+Every linear map in the package (basis changes here, the operator
+columns of ehallops, the nabla columns of macdonald) is applied by
+sum_columns: the coordinate-weighted sum of its columns, accumulated in
+one dict.
 """
 
 from __future__ import annotations
@@ -233,6 +241,13 @@ class SymFun:
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def _raw(basis: str, terms: dict) -> "SymFun":
+        """A SymFun over terms that are clean already: tuple keys, nonzero QTScalars."""
+        res = SymFun.__new__(SymFun)
+        res.basis, res.terms = basis, terms
+        return res
+
+    @staticmethod
     def zero(basis="p"):
         return SymFun(basis, {})
 
@@ -257,9 +272,6 @@ class SymFun:
             out.setdefault(sum(mu), {})[mu] = c
         return {d: SymFun(self.basis, t) for d, t in sorted(out.items())}
 
-    def coefficient(self, mu):
-        return self.terms.get(tuple(mu), QT_ZERO)
-
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
         if not isinstance(other, SymFun):
@@ -273,15 +285,10 @@ class SymFun:
                 out[mu] = s
             else:
                 out.pop(mu, None)
-        res = SymFun.__new__(SymFun)
-        res.basis, res.terms = self.basis, out
-        return res
+        return SymFun._raw(self.basis, out)
 
     def __neg__(self):
-        res = SymFun.__new__(SymFun)
-        res.basis = self.basis
-        res.terms = {mu: -c for mu, c in self.terms.items()}
-        return res
+        return SymFun._raw(self.basis, {mu: -c for mu, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -291,10 +298,7 @@ class SymFun:
             c = QTScalar(c)
         if not c:
             return SymFun(self.basis, {})
-        res = SymFun.__new__(SymFun)
-        res.basis = self.basis
-        res.terms = {mu: c * v for mu, v in self.terms.items()}
-        return res
+        return SymFun._raw(self.basis, {mu: c * v for mu, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, SymFun):
@@ -323,56 +327,8 @@ class SymFun:
             raise ValueError(f"unknown basis {target!r}")
         if target == self.basis:
             return self
-        p = self._to_p()
-        if target == "p":
-            return p
-        return p._from_p(target)
-
-    def _to_p(self):
-        b = self.basis
-        if b == "p":
-            return self
-        out = {}
-        for mu, c in self.terms.items():
-            if b in ("e", "h"):
-                exp = _gen_prod(b + ">p", mu)
-            elif b == "s":
-                exp = _s_in_p(mu)
-            elif b == "m":
-                exp = _p_m_matrices(sum(mu))[1][mu]
-            elif b == "q":
-                exp = _q_mu_in_p(mu)
-            for nu, f in exp.items():
-                s = out.get(nu, QT_ZERO) + c * f
-                if s:
-                    out[nu] = s
-                else:
-                    out.pop(nu, None)
-        res = SymFun.__new__(SymFun)
-        res.basis, res.terms = "p", out
-        return res
-
-    def _from_p(self, target):
-        assert self.basis == "p"
-        if target == "q":
-            return expand_in_q(self)
-        out = {}
-        for mu, c in self.terms.items():
-            if target in ("e", "h"):
-                exp = _gen_prod("p>" + target, mu)
-            elif target == "s":
-                exp = _p_in_s(mu)
-            elif target == "m":
-                exp = _p_m_matrices(sum(mu))[0][mu]
-            for nu, f in exp.items():
-                s = out.get(nu, QT_ZERO) + c * f
-                if s:
-                    out[nu] = s
-                else:
-                    out.pop(nu, None)
-        res = SymFun.__new__(SymFun)
-        res.basis, res.terms = target, out
-        return res
+        p = self if self.basis == "p" else sum_columns("p", self.terms, _TO_P[self.basis])
+        return p if target == "p" else sum_columns(target, p.terms, _FROM_P[target])
 
     # -- serialization ---------------------------------------------------
     def to_json(self):
@@ -448,6 +404,25 @@ def mul(f: SymFun, g: SymFun) -> SymFun:
     return SymFun(basis, out)
 
 
+def sum_columns(basis: str, coords, column) -> SymFun:
+    """sum_lam coords[lam] * column(lam), a SymFun in basis.
+
+    coords maps partitions to QTScalars and column(lam) is a dict nu ->
+    coefficient (QTScalar or Fraction): the image of the basis
+    element lam under a linear map.  The sum accumulates in one dict and
+    drops the terms that cancel, as SymFun.__add__ does.
+    """
+    out = {}
+    for lam, c in coords.items():
+        for nu, v in column(lam).items():
+            s = out.get(nu, QT_ZERO) + c * v
+            if s:
+                out[nu] = s
+            else:
+                out.pop(nu, None)
+    return SymFun._raw(basis, out)
+
+
 # ---------------------------------------------------------------------------
 # hook Schur functions and the q basis
 # ---------------------------------------------------------------------------
@@ -500,40 +475,35 @@ def q_mu(mu) -> SymFun:
 
 
 @lru_cache(maxsize=None)
-def _q_inverse(d: int):
-    """Transition matrix from p- to q_mu-coordinates at degree d.
-
-    Row i, column j is [q_mu] p_rho for mu, rho the i-th and j-th partitions
-    of d: inverting the closed form of _q_mu_in_p,
+def _p_in_q(rho: tuple):
+    """p_rho in the q basis, inverting the closed form of _q_mu_in_p:
     [q_mu] p_rho = [h_mu] p_rho * _q_scale(mu) / prod_j (1 - (qt)^rho_j).
     """
-    parts = shapes.partitions_of(d)
-    index = {mu: i for i, mu in enumerate(parts)}
-    scales = [_q_scale(mu) for mu in parts]
-    inv = [[QT_ZERO] * len(parts) for _ in parts]
-    for j, rho in enumerate(parts):
-        den = _one_minus_qt_powers(rho)
-        for mu, c in _gen_prod("p>h", rho).items():
-            i = index[mu]
-            inv[i][j] = QTScalar(scales[i] * c, den)
-    return inv
+    den = _one_minus_qt_powers(rho)
+    return {mu: QTScalar(_q_scale(mu) * c, den) for mu, c in _gen_prod("p>h", rho).items()}
 
 
 def expand_in_q(f: SymFun) -> SymFun:
-    """Express f in the q_mu basis: per degree, _q_inverse times the p-coordinates."""
-    out = {}
-    for d, comp in f.convert("p").degree_components().items():
-        parts = shapes.partitions_of(d)
-        inv = _q_inverse(d)
-        vec = [comp.terms.get(nu, QT_ZERO) for nu in parts]
-        for i, mu in enumerate(parts):
-            c = QT_ZERO
-            for j in range(len(parts)):
-                if vec[j]:
-                    c = c + inv[i][j] * vec[j]
-            if c:
-                out[mu] = c
-    return SymFun("q", out)
+    """Express f in the q_mu basis."""
+    return f.convert("q")
+
+
+#: the columns of each basis change, by basis: the p-expansion of the basis
+#: element mu, and the expansion of p_mu in the basis
+_TO_P = {
+    "e": lambda mu: _gen_prod("e>p", mu),
+    "h": lambda mu: _gen_prod("h>p", mu),
+    "s": _s_in_p,
+    "m": lambda mu: _p_m_matrices(sum(mu))[1][mu],
+    "q": _q_mu_in_p,
+}
+_FROM_P = {
+    "e": lambda mu: _gen_prod("p>e", mu),
+    "h": lambda mu: _gen_prod("p>h", mu),
+    "s": _p_in_s,
+    "m": lambda mu: _p_m_matrices(sum(mu))[0][mu],
+    "q": _p_in_q,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +547,17 @@ class Alphabet:
     monomials in q, t, z.
 
     Evaluation is defined on power sums:
-      p_k[A] = base_scale(q^k,t^k) * p_k(x) + sum_extras sign * mono^k,
-    where a constant base_scale is left untouched (a constant alphabet
-    multiplies power sums linearly).
+      p_k[A] = base_scale * p_k(x) + sum_extras sign * mono^k,
+    where base_scale is a constant (a constant alphabet multiplies power
+    sums linearly).
     """
 
     base_scale: QTScalar
     extras: tuple = ()  # entries (sign, eq, et, ez)
 
-    @staticmethod
-    def x():
-        return Alphabet(QT_ONE)
+    def __post_init__(self):
+        if not self.base_scale.is_constant():
+            raise ValueError(f"alphabet scale {self.base_scale!r} is not a constant")
 
     @staticmethod
     def scaled(c):
@@ -609,13 +579,7 @@ class Alphabet:
         """p_k[A] as a list of (z-exponent, SymFun in p basis)."""
         out = []
         if self.base_scale:
-            if self.base_scale.is_constant():
-                c = self.base_scale
-            else:
-                from .coeffs import QT_Q, QT_T
-
-                c = self.base_scale.specialize({"q": QT_Q**k, "t": QT_T**k})
-            out.append((0, SymFun("p", {(k,): c})))
+            out.append((0, SymFun("p", {(k,): self.base_scale})))
         for sign, eq, et, ez in self.extras:
             mono = QTScalar.qt_monomial(sign, eq * k, et * k)
             out.append((ez * k, SymFun("p", {(): mono})))

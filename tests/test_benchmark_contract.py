@@ -10,13 +10,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # perfbench/tracer.py looks each traced function up by module and name in
 # sys.modules, after importing only ehall.cli and ehall.ehallops; so a
 # renamed function, or a module that those two stop importing, fails the
-# traced pass with a KeyError or an AttributeError
+# traced pass with a KeyError or an AttributeError.  Its gauges read
+# ehallops._apply_memo, symfun's lru_caches and eigenbasis.cache_info()
 RESOLVE_ALL = """
 import ehall.cli, ehall.ehallops
 import tracer
 specs = [spec for specs in tracer.TRACED.values() for spec in specs]
 for spec in specs:
     tracer._targets(spec)
+gauges = tracer.gauges(tracer.Tracer(), {"macdonald.eigenbasis": ehall.macdonald.eigenbasis})
+assert sorted(gauges) == sorted(set(tracer.GAUGES) - {"trace.overhead_s"}), gauges
 print(len(specs))
 """
 

@@ -263,6 +263,21 @@ def test_cache_malformed_value_recomputed(tmp_path, monkeypatch, capsys, entry):
     assert capsys.readouterr() == (out1, "")
 
 
+def test_unusable_cache_dir_still_emits_the_result(tmp_path):
+    # a cache path that is a regular file cannot be written: the result is
+    # printed all the same, with a warning and exit code 0
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, EHALL_CACHE_DIR=str(blocker))
+    run = [sys.executable, "-m", "ehall.cli", "nabla", "e[2]"]
+    want = subprocess.run(run + ["--no-cache"], env=env, capture_output=True, text=True)
+    got = subprocess.run(run, env=env, capture_output=True, text=True)
+    assert want.returncode == 0 and got.returncode == 0, got.stderr
+    assert got.stdout == want.stdout
+    assert got.stderr.startswith("warning:") and "Traceback" not in got.stderr
+
+
 def test_cache_key_includes_calibration():
     k1 = cli.cache_key("theta", {"x": 1})
     k2 = cli.cache_key("theta", {"x": 2})

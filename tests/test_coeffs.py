@@ -17,8 +17,14 @@ from ehall.coeffs import (
     QTPoly,
     QTScalar,
     poly_gcd,
-    qt,
 )
+
+
+def qt(num, den=1):
+    """Convenience constructor: qt(poly-dict/int, poly-dict/int)."""
+    return QTScalar(num if isinstance(num, QTPoly) else QTPoly(num),
+                    den if isinstance(den, QTPoly) else QTPoly(den))
+
 
 # small random rational functions: numerator and denominator from a pool of
 # sparse integer polynomials in q, t

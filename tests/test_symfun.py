@@ -1,13 +1,14 @@
 """Symmetric functions: basis conversions, products, pairings, plethysm."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehall import linalg, shapes, symfun
-from ehall.coeffs import QT_M, QT_ONE, QT_Q, QT_T, QTScalar, qt
+from ehall.coeffs import QT_ONE, QT_Q, QT_T, QTScalar
 from ehall.symfun import (
     Alphabet,
     SymFun,
@@ -156,6 +157,13 @@ def test_plethysm_constant_alphabet():
         "p", {(1, 1): QTScalar(2), (2,): -QT_ONE})
 
 
+@pytest.mark.parametrize("scale", [QT_Q, QT_ONE / (QT_ONE - QT_T)])
+def test_alphabet_scale_must_be_constant(scale):
+    # p_k[c x] = c p_k holds only for a constant c
+    with pytest.raises(ValueError):
+        Alphabet.scaled(scale)
+
+
 def test_plethys_whole_rejects_z_content():
     with pytest.raises(AssertionError):
         plethys_whole(e_(1), Alphabet.x_plus_m_over_z())
@@ -233,6 +241,7 @@ def _q_d_in_p_by_hooks(d: int):
     return {nu: c for nu, c in out.items() if c}
 
 
+@lru_cache(maxsize=None)
 def _q_mu_in_p_by_hooks(mu):
     """Oracle: q_mu as the product of the q_(mu_i), convolved in p."""
     out = {(): QT_ONE}
@@ -246,6 +255,33 @@ def _q_mu_in_p_by_hooks(mu):
     return out
 
 
+@lru_cache(maxsize=None)
+def _p_to_q_matrix(d: int):
+    """Oracle: [q_mu] p_rho in row mu, column rho (partitions_of(d) order),
+    by Gaussian elimination of the hook-convolution transition matrix."""
+    parts = shapes.partitions_of(d)
+    mat = [[_q_mu_in_p_by_hooks(mu).get(nu, QTScalar(0)) for mu in parts] for nu in parts]
+    return linalg.inverse(mat)
+
+
+def _expand_in_q_by_matrix(f):
+    """Oracle: f in the q basis, per degree the p-to-q matrix times the
+    p-coordinates."""
+    out = {}
+    for d, comp in f.convert("p").degree_components().items():
+        parts = shapes.partitions_of(d)
+        inv = _p_to_q_matrix(d)
+        vec = [comp.terms.get(nu, QTScalar(0)) for nu in parts]
+        for i, mu in enumerate(parts):
+            c = QTScalar(0)
+            for j in range(len(parts)):
+                if vec[j]:
+                    c = c + inv[i][j] * vec[j]
+            if c:
+                out[mu] = c
+    return SymFun("q", out)
+
+
 def _json(table):
     return {nu: c.to_json() for nu, c in table.items()}
 
@@ -255,9 +291,23 @@ def test_q_tables_match_hook_and_elimination_oracles():
     # Gaussian elimination of its transition matrix (p to q), entry for entry
     for d in range(1, 8):
         parts = shapes.partitions_of(d)
-        old = {mu: _q_mu_in_p_by_hooks(mu) for mu in parts}
         for mu in parts:
-            assert _json(symfun._q_mu_in_p(mu)) == _json(old[mu]), mu
-        mat = [[old[mu].get(nu, QTScalar(0)) for mu in parts] for nu in parts]
-        want = [[c.to_json() for c in row] for row in linalg.inverse(mat)]
-        assert [[c.to_json() for c in row] for row in symfun._q_inverse(d)] == want, d
+            assert _json(symfun._q_mu_in_p(mu)) == _json(_q_mu_in_p_by_hooks(mu)), mu
+        inv = _p_to_q_matrix(d)
+        for j, rho in enumerate(parts):
+            want = {mu: inv[i][j].to_json() for i, mu in enumerate(parts) if inv[i][j]}
+            assert _json(symfun._p_in_q(rho)) == want, rho
+
+
+def test_q_conversion_of_mixed_degrees_matches_the_matrix_route():
+    laurent = QTScalar.qt_monomial(-3, -2, 1) + QT_Q  # q - 3t/q^2
+    pole = QT_ONE / (QT_ONE - QT_Q)
+    f = SymFun("s", {(): pole, (1,): laurent, (1, 1): QTScalar(Fraction(2, 3)),
+                     (2, 1): laurent * pole, (4,): QT_T, (2, 2, 1): laurent,
+                     (3, 2): -pole})
+    f = f + e_(4).scale(pole) + m_((2, 1, 1, 1)).scale(laurent)
+    assert sorted({sum(mu) for mu in f.terms}) == [0, 1, 2, 3, 4, 5]
+    want = _expand_in_q_by_matrix(f).to_json()
+    for basis in "smp":
+        assert f.convert(basis).convert("q").to_json() == want, basis
+    assert expand_in_q(f).to_json() == want
