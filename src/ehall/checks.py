@@ -5,6 +5,8 @@ Verdicts come in three statuses:
   * fails    — a non-conjectural statement that came out false (fatal);
   * reported — a conjectural statement: the outcome (including any
                counterexample witness) is recorded, never fatal.
+Verdict.outcome reads what a verdict found off these fields: holds,
+counterexample, equal, not-equal or reported.  It is not on the wire.
 
 Seeds f of degree d are pushed through theta to f^(a,b) = Theta_(a,b)(f)(1);
 e_(m,n) and h_(m,n) abbreviate the e_d / h_d seeds at (m,n) = (ad,bd),
@@ -46,6 +48,29 @@ class Verdict:
         if self.detail:
             out["detail"] = self.detail
         return out
+
+    @property
+    def outcome(self) -> str:
+        """What the verdict found, derived from its fields:
+
+        * holds          — a statement that held, proved or conjectural;
+        * counterexample — a statement that failed, with its witness;
+        * equal, not-equal — two routes to one function compared (_equality);
+        * reported       — a measurement with no yes/no answer (incl-eh-bar).
+        """
+        if self.status == "holds":
+            return "holds"
+        if self.status == "fails":
+            return "counterexample"
+        if self.detail in _EQUALITY_OUTCOMES:
+            return _EQUALITY_OUTCOMES[self.detail]
+        if self.witness is not None:
+            return "counterexample"
+        return "reported" if self.detail else "holds"
+
+
+#: the detail of an _equality verdict -> its outcome
+_EQUALITY_OUTCOMES = {"equal": "equal", "NOT equal": "not-equal"}
 
 
 def _positive_in(f: SymFun, basis: str, name: str, params) -> Verdict:

@@ -5,6 +5,15 @@ a_1 <= ... <= a_n of column indices with n*a_k <= (k-1)*m, where a_k is
 the column of the south step at height k-1.  The staircase word
 d_k = floor((k-1)m/n) is the unique area-zero path, and
 area = sum_k (d_k - a_k).
+
+The enumerators build each path and parking function from its shape, so
+none is built only to be checked or thrown away: the words come from an
+odometer under the staircase, a path with given interior returns is a
+chain of primitive segments (the (m,n) path model of Bergeron-Garsia-
+Leven-Xin, arXiv:1404.4616), and the labels of a parking function depend
+on the path only through its riser composition.  Such objects skip the
+checks of the DyckPath and ParkingFun constructors, which still validate
+every object built from outside.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 
 from . import shapes, symfun
 from .coeffs import QTScalar
@@ -46,52 +56,95 @@ class ParkingFun:
     labels: tuple  # labels[k-1] is the label of the south step at height k-1
 
     def __post_init__(self):
-        if sorted(self.labels) != list(range(1, self.path.n + 1)):
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        if sorted(labels) != list(range(1, self.path.n + 1)):
             raise ValueError("labels must be a permutation of 1..n")
         w = self.path.word
         for k in range(1, self.path.n):
-            if w[k] == w[k - 1] and self.labels[k] < self.labels[k - 1]:
+            if w[k] == w[k - 1] and labels[k] < labels[k - 1]:
                 raise ValueError("labels must increase up each column")
 
     def word(self):
         """w_i = column of the step labeled i (the displayed form)."""
-        cols = [0] * self.path.n
-        for k, lab in enumerate(self.labels):
-            cols[lab - 1] = self.path.word[k]
-        return tuple(cols)
+        return _label_data(self.labels)[0](self.path.word)
+
+
+def _path(m: int, n: int, word: tuple) -> DyckPath:
+    """A DyckPath from a word built valid, without DyckPath's checks."""
+    p = object.__new__(DyckPath)
+    object.__setattr__(p, "m", m)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "word", word)
+    return p
+
+
+def _parking_fun(p: DyckPath, labels: tuple) -> ParkingFun:
+    """A ParkingFun from labels built valid for p, without ParkingFun's checks."""
+    pf = object.__new__(ParkingFun)
+    object.__setattr__(pf, "path", p)
+    object.__setattr__(pf, "labels", labels)
+    return pf
 
 
 def staircase(m: int, n: int) -> DyckPath:
     return DyckPath(m, n, tuple((k - 1) * m // n for k in range(1, n + 1)))
 
 
-def enumerate_paths(m: int, n: int, returns_at=None):
-    """All (m,n)-Dyck paths in lexicographic word order (iterative odometer).
+def _words(ceilings):
+    """Every weakly increasing word w with ceilings[0] <= w_k <= ceilings[k],
+    in lexicographic order: an odometer over nondecreasing ceilings."""
+    n = len(ceilings)
+    word = [ceilings[0]] * n
+    out = []
+    while True:
+        out.append(tuple(word))
+        k = n - 1
+        while k >= 0 and word[k] >= ceilings[k]:
+            k -= 1
+        if k < 0:
+            return out
+        word[k:] = [word[k] + 1] * (n - k)
 
-    With returns_at (a composition of gcd(m,n)), keep only paths whose
-    interior-return composition equals it; any other returns_at raises
-    ValueError.
+
+def _primitive_words(a: int, b: int, c: int, shift: int):
+    """The words of the primitive (ac, bc)-Dyck paths, a, b coprime, with
+    shift added to every entry.  The ceiling at each interior diagonal
+    height jb (0 < j < c) is lowered by one, so no word returns there."""
+    ceilings = [shift + k * a // b for k in range(b * c)]
+    for j in range(1, c):
+        ceilings[j * b] -= 1
+    return _words(ceilings)
+
+
+def enumerate_paths(m: int, n: int, returns_at=None):
+    """All (m,n)-Dyck paths in lexicographic word order.
+
+    With returns_at, a composition alpha of d = gcd(m,n), only the paths
+    whose interior-return composition equals alpha (their returns are at the
+    heights b(alpha_1 + ... + alpha_i), i < len(alpha), with (a, b) =
+    (m, n)/d); any other returns_at raises ValueError.  Such a path is a
+    chain of primitive (a alpha_i, b alpha_i) segments, segment i shifted
+    right by a(alpha_1 + ... + alpha_(i-1)), and the chains are taken with
+    the first segment outermost, which is lexicographic order.
     """
     if returns_at is not None:
         returns_at = tuple(returns_at)
         d = gcd(m, n)
         if any(a < 1 for a in returns_at) or sum(returns_at) != d:
             raise ValueError(f"returns {returns_at} is not a composition of gcd(m, n) = {d}")
-    ceilings = [(k - 1) * m // n for k in range(1, n + 1)]
-    word = [0] * n
-    out = []
-    while True:
-        p = DyckPath(m, n, tuple(word))
-        if returns_at is None or returns_comp(p) == returns_at:
-            out.append(p)
-        k = n - 1
-        while k >= 0 and word[k] >= ceilings[k]:
-            k -= 1
-        if k < 0:
-            return out
-        word[k] += 1
-        for j in range(k + 1, n):
-            word[j] = word[k]
+    if m < 1 or n < 1:
+        raise ValueError("m, n must be positive")
+    if returns_at is None:
+        words = _words([k * m // n for k in range(n)])
+    else:
+        a, b = m // d, n // d
+        words, shift = [()], 0
+        for part in returns_at:
+            segment = _primitive_words(a, b, part, shift)
+            words = [w + s for w in words for s in segment]
+            shift += a * part
+    return [_path(m, n, w) for w in words]
 
 
 def area(p: DyckPath) -> int:
@@ -111,24 +164,12 @@ def riser_comp(p: DyckPath):
     return tuple(out)
 
 
-def return_positions(p: DyckPath):
-    """Interior positions k > 1 where the path touches the diagonal."""
-    return [k for k, a in enumerate(p.word, start=1) if k > 1 and p.n * a == (k - 1) * p.m]
-
-
-def returns_comp(p: DyckPath):
-    """Composition of d = gcd(m,n) encoding where the path returns."""
-    d = gcd(p.m, p.n)
-    b = p.n // d
-    subset = {(k - 1) // b for k in return_positions(p)}
-    return shapes.subset_to_composition(d, subset)
-
-
 def path_enumerator(m: int, n: int, returns_at=None) -> SymFun:
     """sum over paths of q^area * e_(riser composition)."""
+    paths = enumerate_paths(m, n, returns_at)
+    top = sum(k * m // n for k in range(n))  # the staircase's word sum
     return symfun.e_q_counts(Counter(
-        (tuple(sorted(riser_comp(p), reverse=True)), area(p))
-        for p in enumerate_paths(m, n, returns_at)
+        (tuple(sorted(riser_comp(p), reverse=True)), top - sum(p.word)) for p in paths
     ))
 
 
@@ -170,26 +211,29 @@ def bizley(a: int, b: int, d: int) -> SymFun:
 # ---------------------------------------------------------------------------
 
 
-def parking(p: DyckPath):
-    """All parking functions on p, in lexicographic order of their labels.
+@lru_cache(maxsize=128)
+def _labelings(risers: tuple):
+    """The label sequences that increase up each column of a path with
+    riser composition risers, in lexicographic order.
 
     The labels are filled in depth first, one south step at a time, trying
     values in increasing order; a step directly above another in the same
-    column starts above that step's label.  So only label sequences that
-    increase up each column are built: n!/prod(r_i!) of them for riser
-    composition r, never the n! permutations.
+    column starts above that step's label.  Cached by riser composition:
+    128 entries hold every composition of n <= 7, and an entry holds the
+    n!/prod(r_i!) sequences that parking returns for it anyway.
     """
-    n, w = p.n, p.word
+    n = sum(risers)
+    # stacked[k]: step k is in the column of step k-1
+    stacked = [j > 0 for r in risers for j in range(r)]
     out = []
     labels = [0] * n
     used = [False] * (n + 1)
 
     def fill(k):
         if k == n:
-            out.append(ParkingFun(p, tuple(labels)))
+            out.append(tuple(labels))
             return
-        low = labels[k - 1] + 1 if k and w[k] == w[k - 1] else 1
-        for v in range(low, n + 1):
+        for v in range(labels[k - 1] + 1 if stacked[k] else 1, n + 1):
             if not used[v]:
                 used[v] = True
                 labels[k] = v
@@ -197,24 +241,33 @@ def parking(p: DyckPath):
                 used[v] = False
 
     fill(0)
-    return out
+    return tuple(out)
 
 
-def descent_comp(pf: ParkingFun):
-    """Composition of n with a part ending at each i where label i+1 sits
-    on a higher south step than label i.
+def parking(p: DyckPath):
+    """All parking functions on p, in lexicographic order of their labels.
 
-    The rank nm - ym - xn of the cell (word[k], k) where the step at
-    height k starts falls strictly with k (y rises strictly and x weakly
-    along a path), so this is the descent test rank(i+1) <= rank(i) on those
-    cells, read off the heights in one pass.  It is not the diagonal reading
-    of Bergeron-Garsia-Leven-Xin (arXiv:1404.4616), whose ranks interleave
-    labels on different diagonals; switching to that reading would change
-    the compositions returned here.
+    Only label sequences that increase up each column are built: n!/prod(r_i!)
+    of them for riser composition r, never the n! permutations, and once per
+    composition (_labelings).
     """
-    n = pf.path.n
+    return [_parking_fun(p, labels) for labels in _labelings(riser_comp(p))]
+
+
+@lru_cache(maxsize=8192)
+def _label_data(labels: tuple):
+    """(reader, descent composition) of a label sequence, from the heights:
+    heights[i] is the height of the step labeled i+1 (the inverse
+    permutation).  reader(word) is the tuple of word[heights[i]] (the
+    ParkingFun's word()), and the composition of n has a part ending at
+    each i with heights[i] > heights[i-1].
+
+    Cached by label sequence, a permutation of 1..n: 8192 entries hold
+    every permutation of n <= 7.
+    """
+    n = len(labels)
     heights = [0] * n
-    for k, lab in enumerate(pf.labels):
+    for k, lab in enumerate(labels):
         heights[lab - 1] = k
     parts, run = [], 1
     for i in range(1, n):
@@ -224,4 +277,20 @@ def descent_comp(pf: ParkingFun):
         else:
             run += 1
     parts.append(run)
-    return tuple(parts)
+    # itemgetter of one index returns the item, not a 1-tuple
+    return (itemgetter(*heights) if n > 1 else tuple), tuple(parts)
+
+
+def descent_comp(pf: ParkingFun):
+    """Composition of n with a part ending at each i where label i+1 sits
+    on a higher south step than label i.
+
+    The rank nm - ym - xn of the cell (word[k], k) where the step at
+    height k starts falls strictly with k (y rises strictly and x weakly
+    along a path), so this is the descent test rank(i+1) <= rank(i) on those
+    cells, read off the heights alone.  It is not the diagonal reading
+    of Bergeron-Garsia-Leven-Xin (arXiv:1404.4616), whose ranks interleave
+    labels on different diagonals; switching to that reading would change
+    the compositions returned here.
+    """
+    return _label_data(pf.labels)[1]

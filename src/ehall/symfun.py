@@ -433,19 +433,16 @@ def hook_schur(j: int, k: int) -> SymFun:
     return s_(shapes.hook(j, k))
 
 
-def _one_minus_qt_powers(rho: tuple) -> QTPoly:
-    """prod_j (1 - (qt)^rho_j): the plethysm X -> X(1 - qt) on p_rho."""
+def _qt_integers(rho: tuple) -> QTPoly:
+    """prod_j [rho_j]_(qt), where [k]_u = 1 + u + ... + u^(k-1) is monic."""
     out = QTPoly(1)
     for part in rho:
-        out = out * (QTPoly(1) - QTPoly.monomial(1, part, part))
+        out = out * QTPoly({(i, i): 1 for i in range(part)})
     return out
 
 
-def _q_scale(mu: tuple) -> QTPoly:
-    """prod_i (-qt)^(mu_i - 1) (1 - qt), so that q_mu = h_mu[X(1 - qt)] / it."""
-    d, ell = sum(mu), len(mu)
-    one_minus_qt = QTPoly(1) - QTPoly.monomial(1, 1, 1)
-    return QTPoly.monomial((-1) ** (d - ell), d - ell, d - ell) * one_minus_qt**ell
+def _one_minus_qt(k: int) -> QTPoly:
+    return (QTPoly(1) - QTPoly.monomial(1, 1, 1)) ** k
 
 
 @lru_cache(maxsize=None)
@@ -454,11 +451,17 @@ def _q_mu_in_p(mu: tuple):
 
     h_d[X(1 - u)] = (1 - u) sum_k (-u)^k s_(d-k,1^k) (Macdonald, Symmetric
     Functions and Hall Polynomials, I.3) gives, at u = qt,
-    q_d = (-qt)^(1-d) h_d[X(1 - qt)] / (1 - qt).  So
-    [p_rho] q_mu = [p_rho] h_mu * prod_j (1 - (qt)^rho_j) / _q_scale(mu).
+    q_d = (-qt)^(1-d) h_d[X(1 - qt)] / (1 - qt).  With
+    1 - (qt)^k = (1 - qt) [k]_(qt) and d = |mu|,
+    [p_rho] q_mu = [p_rho] h_mu (-1)^(d-l(mu)) (1 - qt)^(l(rho)-l(mu))
+    prod_j [rho_j]_(qt) / (qt)^(d-l(mu)), where l(rho) >= l(mu).  The
+    numerator has a nonzero constant term, so each entry is already
+    reduced over its monomial denominator and takes no gcd.
     """
-    scale = _q_scale(mu)
-    return {rho: QTScalar(_one_minus_qt_powers(rho) * c, scale)
+    k, ell = sum(mu) - len(mu), len(mu)
+    den = QTPoly.monomial(1, k, k)
+    return {rho: QTScalar._raw(_one_minus_qt(len(rho) - ell) * _qt_integers(rho)
+                               * ((-1) ** k * c), den)
             for rho, c in _gen_prod("h>p", mu).items()}
 
 
@@ -477,10 +480,19 @@ def q_mu(mu) -> SymFun:
 @lru_cache(maxsize=None)
 def _p_in_q(rho: tuple):
     """p_rho in the q basis, inverting the closed form of _q_mu_in_p:
-    [q_mu] p_rho = [h_mu] p_rho * _q_scale(mu) / prod_j (1 - (qt)^rho_j).
+    [q_mu] p_rho = [h_mu] p_rho (-qt)^(d-l(mu)) (1 - qt)^(l(mu)-l(rho))
+    / prod_j [rho_j]_(qt), where l(mu) >= l(rho).  That denominator is
+    monic and coprime to the numerator (a root of unity other than 1 in qt
+    annuls it), so each entry is reduced as built and takes no gcd.
     """
-    den = _one_minus_qt_powers(rho)
-    return {mu: QTScalar(_q_scale(mu) * c, den) for mu, c in _gen_prod("p>h", rho).items()}
+    d, ell = sum(rho), len(rho)
+    den = _qt_integers(rho)
+    out = {}
+    for mu, c in _gen_prod("p>h", rho).items():
+        k = d - len(mu)
+        out[mu] = QTScalar._raw(QTPoly.monomial((-1) ** k * c, k, k)
+                                * _one_minus_qt(len(mu) - ell), den)
+    return out
 
 
 def expand_in_q(f: SymFun) -> SymFun:

@@ -112,4 +112,24 @@ def test_conjectural_checks_report_no_anomalies():
         assert verdicts, name
         for v in verdicts:
             assert v.status == "reported", (name, v)
-            assert "counterexample" not in v.detail and "NOT" not in v.detail, (name, v)
+            assert v.outcome in ("holds", "equal"), (name, v)
+
+
+def test_verdict_outcome():
+    # derived from the fields and kept off the wire
+    minus = SymFun("s", {(1,): -QT_ONE})
+    cases = [
+        (is_schur_positive(s_((2,))), "holds"),
+        (is_schur_positive(minus), "counterexample"),
+        (checks._conjectural(is_schur_positive(s_((2,)))), "holds"),
+        (checks._conjectural(is_schur_positive(minus)), "counterexample"),
+        (checks._equality("t1-mult", {}, True), "equal"),
+        (checks._equality("t1-mult", {}, False), "not-equal"),
+    ]
+    for v, want in cases:
+        assert v.outcome == want, v
+        assert "outcome" not in v.to_json()
+    found = {name: {v.outcome for v in run_check(name, limit=2)}
+             for name in ["schur-seed", "incl-eh-bar", "retours", "dim-delta"]}
+    assert found == {"schur-seed": {"holds"}, "incl-eh-bar": {"reported"},
+                     "retours": {"equal"}, "dim-delta": {"holds"}}

@@ -111,6 +111,50 @@ def test_dyck_returns_not_a_composition_of_gcd(capsys, alpha):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["dyck", "0", "3"], "error: m, n must be positive\n"),
+    (["dyck", "3", "0", "--parking"], "error: m, n must be positive\n"),
+    (["dyck", "2", "2", "--returns", "0,2"],
+     "error: returns (0, 2) is not a composition of gcd(m, n) = 2\n"),
+])
+def test_dyck_bad_input_messages(capsys, argv, message):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == message
+
+
+#: the output of ``ehall dyck 4 4 --returns 1,3 --enumerator --parking``
+DYCK_4_4_RETURNS_1_3 = {
+    "m": 4, "n": 4, "words": ["0111", "0112"], "count": 2,
+    "enumerator": {"basis": "e", "terms": [
+        {"mu": [3, 1], "c": {"num": [["1", 3, 0]], "den": [["1", 0, 0]]}},
+        {"mu": [2, 1, 1], "c": {"num": [["1", 2, 0]], "den": [["1", 0, 0]]}}]},
+    "parking": [
+        {"word": [0, 1, 1, 1], "labels": [1, 2, 3, 4], "descentComp": [1, 1, 1, 1]},
+        {"word": [1, 0, 1, 1], "labels": [2, 1, 3, 4], "descentComp": [2, 1, 1]},
+        {"word": [1, 1, 0, 1], "labels": [3, 1, 2, 4], "descentComp": [1, 2, 1]},
+        {"word": [1, 1, 1, 0], "labels": [4, 1, 2, 3], "descentComp": [1, 1, 2]},
+        {"word": [0, 1, 1, 2], "labels": [1, 2, 3, 4], "descentComp": [1, 1, 1, 1]},
+        {"word": [0, 1, 2, 1], "labels": [1, 2, 4, 3], "descentComp": [1, 1, 2]},
+        {"word": [0, 2, 1, 1], "labels": [1, 3, 4, 2], "descentComp": [1, 2, 1]},
+        {"word": [1, 0, 1, 2], "labels": [2, 1, 3, 4], "descentComp": [2, 1, 1]},
+        {"word": [1, 0, 2, 1], "labels": [2, 1, 4, 3], "descentComp": [2, 2]},
+        {"word": [2, 0, 1, 1], "labels": [2, 3, 4, 1], "descentComp": [2, 1, 1]},
+        {"word": [1, 1, 0, 2], "labels": [3, 1, 2, 4], "descentComp": [1, 2, 1]},
+        {"word": [1, 2, 0, 1], "labels": [3, 1, 4, 2], "descentComp": [1, 2, 1]},
+        {"word": [2, 1, 0, 1], "labels": [3, 2, 4, 1], "descentComp": [3, 1]},
+        {"word": [1, 1, 2, 0], "labels": [4, 1, 2, 3], "descentComp": [1, 1, 2]},
+        {"word": [1, 2, 1, 0], "labels": [4, 1, 3, 2], "descentComp": [1, 3]},
+        {"word": [2, 1, 1, 0], "labels": [4, 2, 3, 1], "descentComp": [2, 2]}
+    ],
+}
+
+
+def test_dyck_returns_output_is_unchanged(capsys):
+    rc, out = _run(capsys, "dyck", "4", "4", "--returns", "1,3", "--enumerator", "--parking")
+    assert rc == 0
+    assert out == json.dumps(DYCK_4_4_RETURNS_1_3) + "\n"
+
+
 def test_ct_subcommand(capsys):
     rc, out = _run(capsys, "ct", "3", "2", "--basis", "e")
     assert rc == 0

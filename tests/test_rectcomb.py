@@ -18,8 +18,6 @@ from ehall.rectcomb import (
     parking,
     path_enumerator,
     primitive_enumerator,
-    return_positions,
-    returns_comp,
     riser_comp,
     staircase,
 )
@@ -30,9 +28,42 @@ def rank(x: int, y: int, m: int, n: int) -> int:
     return n * m - y * m - x * n
 
 
+def return_positions(p: DyckPath):
+    """Interior positions k > 1 where the path touches the diagonal."""
+    return [k for k, a in enumerate(p.word, start=1) if k > 1 and p.n * a == (k - 1) * p.m]
+
+
+def returns_comp(p: DyckPath):
+    """Composition of d = gcd(m,n) encoding where the path returns."""
+    d = gcd(p.m, p.n)
+    b = p.n // d
+    subset = {(k - 1) // b for k in return_positions(p)}
+    return shapes.subset_to_composition(d, subset)
+
+
 def is_primitive(p: DyckPath) -> bool:
     """A path with no interior return to the diagonal."""
     return not return_positions(p)
+
+
+def paths_by_filter(m: int, n: int, returns_at=None):
+    """Oracle: every odometer word under the staircase through the validating
+    DyckPath, kept if its return composition is returns_at."""
+    ceilings = [(k - 1) * m // n for k in range(1, n + 1)]
+    word = [0] * n
+    out = []
+    while True:
+        p = DyckPath(m, n, tuple(word))
+        if returns_at is None or returns_comp(p) == returns_at:
+            out.append(p)
+        k = n - 1
+        while k >= 0 and word[k] >= ceilings[k]:
+            k -= 1
+        if k < 0:
+            return out
+        word[k] += 1
+        for j in range(k + 1, n):
+            word[j] = word[k]
 
 
 def parking_by_filter(p: DyckPath):
@@ -142,6 +173,32 @@ def test_returns_must_be_a_composition_of_gcd(alpha):
         path_enumerator(3, 3, returns_at=alpha)
 
 
+def test_paths_match_the_filtering_oracle():
+    # the same paths in the same order as validating every odometer word and
+    # filtering by returns, for every composition of gcd(m, n)
+    pairs = [(m, n) for m in range(1, 8) for n in range(1, 7)] + [(8, 6), (9, 6), (6, 9)]
+    for m, n in pairs:
+        assert enumerate_paths(m, n) == paths_by_filter(m, n), (m, n)
+        for alpha in shapes.compositions_of(gcd(m, n)):
+            got = enumerate_paths(m, n, returns_at=alpha)
+            assert got == paths_by_filter(m, n, alpha), (m, n, alpha)
+            assert all(returns_comp(p) == alpha for p in got)
+
+
+def test_generated_objects_pass_the_validating_constructors():
+    for m in range(1, 8):
+        for n in range(1, 7):
+            for p in enumerate_paths(m, n):
+                assert type(p.word) is tuple and DyckPath(m, n, p.word) == p
+                for pf in parking(p):
+                    assert type(pf.labels) is tuple and ParkingFun(p, pf.labels) == pf
+
+
+def test_parking_fun_labels_are_a_tuple():
+    pf = ParkingFun(DyckPath(3, 2, (0, 1)), [2, 1])
+    assert pf.labels == (2, 1) and pf.word() == (1, 0) and descent_comp(pf) == (2,)
+
+
 def test_parking_functions():
     # coprime (m,n): total number of parking functions is m^(n-1)
     for m, n in [(3, 2), (4, 3), (5, 2)]:
@@ -179,7 +236,7 @@ def test_parking_and_descents_match_oracles():
         for n in range(1, 7):
             for p in enumerate_paths(m, n):
                 got = [(pf.word(), pf.labels, descent_comp(pf)) for pf in parking(p)]
-                want = [(pf.word(), pf.labels, descent_comp_by_cells(pf))
+                want = [(tuple(x for x, _ in cells(pf)), pf.labels, descent_comp_by_cells(pf))
                         for pf in parking_by_filter(p)]
                 assert got == want, p
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehall import linalg, shapes, symfun
-from ehall.coeffs import QT_ONE, QT_Q, QT_T, QTScalar
+from ehall.coeffs import QT_ONE, QT_Q, QT_T, QTPoly, QTScalar
 from ehall.symfun import (
     Alphabet,
     SymFun,
@@ -296,6 +296,33 @@ def test_q_tables_match_hook_and_elimination_oracles():
         inv = _p_to_q_matrix(d)
         for j, rho in enumerate(parts):
             want = {mu: inv[i][j].to_json() for i, mu in enumerate(parts) if inv[i][j]}
+            assert _json(symfun._p_in_q(rho)) == want, rho
+
+
+def _one_minus_qt_powers(rho):
+    """prod_j (1 - (qt)^rho_j)."""
+    out = QTPoly(1)
+    for part in rho:
+        out = out * (QTPoly(1) - QTPoly.monomial(1, part, part))
+    return out
+
+
+def _q_scale(mu):
+    """prod_i (-qt)^(mu_i - 1) (1 - qt)."""
+    k = sum(mu) - len(mu)
+    return QTPoly.monomial((-1) ** k, k, k) * (QTPoly(1) - QTPoly.monomial(1, 1, 1)) ** len(mu)
+
+
+def test_q_tables_closed_forms_match_the_reduced_quotients():
+    # each closed-form entry, built without a gcd, has the to_json() of the
+    # same quotient reduced by QTScalar's normalization (a cofactor call)
+    for d in range(8):
+        for rho in shapes.partitions_of(d):
+            want = {nu: QTScalar(_one_minus_qt_powers(nu) * c, _q_scale(rho)).to_json()
+                    for nu, c in symfun._gen_prod("h>p", rho).items()}
+            assert _json(symfun._q_mu_in_p(rho)) == want, rho
+            want = {mu: QTScalar(_q_scale(mu) * c, _one_minus_qt_powers(rho)).to_json()
+                    for mu, c in symfun._gen_prod("p>h", rho).items()}
             assert _json(symfun._p_in_q(rho)) == want, rho
 
 
