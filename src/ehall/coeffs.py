@@ -26,8 +26,9 @@ Specialization at polynomial values (t = 1, q = t = 1, t = 1 + r)
 substitutes into the numerator and the denominator as QTPolys, one row of
 equal t-exponent at a time, and reduces the quotient once; Laurent values
 such as t = 1/q evaluate each term in the field (QTPoly.subs).
-QTPoly.div_one_minus divides exactly by 1 - q or 1 - t, or reports that
-the division leaves a remainder.
+QTPoly.div_binomial divides exactly by a binomial q^a - t^b, row by row
+in the t-exponent, or reports that the division leaves a remainder; it
+takes no gcd.
 
 All values are immutable after construction and safe to share.
 """
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter, sub
 
 
 class PoleError(ArithmeticError):
@@ -85,6 +87,34 @@ def _scaled(terms, scale):
         return terms
     return {e: c * scale if c.__class__ is int else c.numerator * (scale // c.denominator)
             for e, c in terms.items()}
+
+
+def _div_rows(rows, a, b):
+    """The quotient of P by q^a - t^b (b > 0) as dense rows, or None.
+
+    rows[j] is the row of t-exponent j of P, a list over the q-exponents.
+    From P_j = q^a Q_j - Q_(j-b), the quotient's rows are Q_(j-b) =
+    q^a Q_j - P_j, from the top row of P down.  Each Q_j must end below
+    q-exponent width - a, and the b lowest rows of P must be q^a Q_j.
+    """
+    width = len(rows[0])
+    w = width - a
+    if w <= 0 or len(rows) <= b:
+        return None
+    pad = [0] * a
+    quo = [None] * (len(rows) - b)
+    upper = [0] * w
+    for j in range(len(quo) - 1, -1, -1):
+        if j + b < len(quo):
+            upper = quo[j + b]
+        row = list(map(sub, pad + upper, rows[j + b]))
+        if any(row[w:]):
+            return None
+        quo[j] = row[:w]
+    for j in range(b):
+        if rows[j] != pad + (quo[j] if j < len(quo) else [0] * w):
+            return None
+    return quo
 
 
 def _power(cache, base, n):
@@ -200,28 +230,39 @@ class QTPoly:
     def const(self):
         return self.terms.get((0, 0), 0)
 
-    def div_one_minus(self, var):
-        """The exact quotient self / (1 - var) for var 'q' or 't', or None.
+    def div_binomial(self, a, b):
+        """The exact quotient self / (q^a - t^b), or None when the division
+        leaves a remainder.  a, b >= 0, not both 0.
 
-        With the exponent of the other variable fixed, the quotient's
-        coefficients are the running sums of that row in increasing
-        exponent of var; the division is exact when every row sums to 0.
+        q^a - t^b vanishes at q = t = 1, so a nonzero coefficient sum is
+        a remainder at once.  Otherwise the division runs over dense rows
+        of equal t-exponent (see _div_rows); for b = 0 the roles of q and
+        t are swapped, since q^a - 1 = -(q'^0 - t'^a) with q' = t, t' = q.
         """
-        axis = 0 if var == "q" else 1
-        rows = {}
-        for e, c in self.terms.items():
-            rows.setdefault(e[1 - axis], {})[e[axis]] = c
-        out = {}
-        for fixed, row in rows.items():
-            top = max(row)
-            acc = 0
-            get = row.get
-            for k in range(min(row), top):
-                acc += get(k, 0)
-                if acc:
-                    out[(k, fixed) if axis == 0 else (fixed, k)] = acc
-            if acc + row[top]:
-                return None
+        if not self.terms:
+            return QTPoly()
+        # divide over Z and scale back once: Fraction sums are far dearer
+        scale = _denominator_lcm(self.terms)
+        terms = _scaled(self.terms, scale)
+        if sum(terms.values()):
+            return None
+        swap = not b
+        if swap:
+            a, b = 0, a
+            terms = {(j, i): c for (i, j), c in terms.items()}
+        width = 1 + max(map(itemgetter(0), terms))
+        rows = [[0] * width for _ in range(1 + max(map(itemgetter(1), terms)))]
+        for (i, j), c in terms.items():
+            rows[j][i] = c
+        quo = _div_rows(rows, a, b)
+        if quo is None:
+            return None
+        if swap:
+            out = {(j, i): -c for j, row in enumerate(quo) for i, c in enumerate(row) if c}
+        else:
+            out = {(i, j): c for j, row in enumerate(quo) for i, c in enumerate(row) if c}
+        if scale != 1:
+            out = {e: Fraction(c, scale) for e, c in out.items()}
         return _from_terms(out)
 
     def subs_poly(self, vq, vt):

@@ -188,15 +188,16 @@ def _column(op, basis: str, lam: tuple) -> SymFun:
 def _over_m(f: SymFun) -> SymFun:
     """f / M, dividing each numerator exactly by (1 - q) and (1 - t).
 
-    For a reduced n/d with M | n, (n/M)/d is reduced again; any other
-    coefficient is multiplied by 1/M in the field.
+    M = (1 - t)(1 - q) = -(q^1 - t^0)(q^0 - t^1).  For a reduced n/d with
+    M | n, (n/M)/d is reduced again; any other coefficient is multiplied
+    by 1/M in the field.
     """
     out = {}
     for lam, c in f.terms.items():
-        quo = c.num.div_one_minus("q")
+        quo = c.num.div_binomial(1, 0)
         if quo is not None:
-            quo = quo.div_one_minus("t")
-        out[lam] = c * _M_INV if quo is None else QTScalar._raw(quo, c.den)
+            quo = quo.div_binomial(0, 1)
+        out[lam] = c * _M_INV if quo is None else QTScalar._raw(-quo, c.den)
     return SymFun._raw(f.basis, out)
 
 

@@ -29,20 +29,32 @@ and <H~_mu, H~_mu>_* = prod over cells (q^a - t^(l+1)) (t^l - q^(a+1))
 c_mu(f) = <f, H~_mu>_* / <H~_mu, H~_mu>_* and no matrix is inverted.
 
 nabla is a linear map over stored Schur columns keyed by (sign, lam):
-nabla s_lam, built once from the H~ coordinates of s_lam, and
-nabla^(-1) s_lam.  Since H~_mu[X; 1/q, 1/t] = t^-n(mu) q^-n(mu') omega
-H~_mu[X; q, t] (Garsia-Haiman), nabla^(-1) = omega bar(nabla) omega, where
-the bar sends q, t to 1/q, 1/t: the coefficient of s_nu' in nabla^(-1) s_lam
-is the bar of the coefficient of s_nu in nabla s_lam', a polynomial.
-nabla^k applies the sign(k) columns |k| times, so the store holds at most
-2 p(n) columns of degree n.  Both nabla s_lam, the sum of c_mu ev_mu H~_mu,
-and each power step of nabla are symfun.sum_columns, the column sum that
-every linear map in the package shares.
+nabla s_lam = sum over mu of c_mu(s_lam) ev_mu H~_mu, built once, and
+nabla^(-1) s_lam.  The pairings <s_lam, H~_mu>_* are polynomials and the
+*-norm is a sign times a product of binomials q^a - t^b, so the column is
+summed over denominators kept as multisets of binomials, never as reduced
+fractions: two denominators share their multiset intersection, and only
+its factors are tried for cancellation, by exact division.  Every column
+is a polynomial, so the numerator left at the end divides exactly by every
+factor left.  No gcd is taken.  Since H~_mu'(q, t) = H~_mu(t, q), the
+term of mu' is the q, t swap of the term of mu, and only half the sum is
+built.
+
+Since H~_mu[X; 1/q, 1/t] = t^-n(mu) q^-n(mu') omega H~_mu[X; q, t]
+(Garsia-Haiman), nabla^(-1) = omega bar(nabla) omega, where the bar sends
+q, t to 1/q, 1/t: the coefficient of s_nu' in nabla^(-1) s_lam is the bar
+of the coefficient of s_nu in nabla s_lam', a polynomial.  nabla^k applies
+the sign(k) columns |k| times, so the store holds at most 2 p(n) columns
+of degree n.  Each power step of nabla is symfun.sum_columns, the column
+sum that every linear map in the package shares.  expand_in_eigenbasis,
+the H~ coordinates of any f in the field, is kept for the tests as the
+oracle of the columns.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
+from functools import lru_cache, reduce
 
 from . import shapes
 from .coeffs import QT_ZERO, QTPoly, QTScalar
@@ -124,21 +136,41 @@ def _star_norm_p(rho) -> QTPoly:
     return out
 
 
-def _star_norm(mu) -> QTScalar:
-    """<H~_mu, H~_mu>_* = prod over cells of (q^a - t^(l+1)) (t^l - q^(a+1))."""
+def _star_norm_factors(mu):
+    """<H~_mu, H~_mu>_* as (sign, factors): sign times the product of the
+    binomials q^a - t^b over the multiset factors of pairs (a, b).
+
+    Each cell gives (q^a - t^(l+1)) (t^l - q^(a+1)), that is the pairs
+    (a, l + 1) and (a + 1, l) and a factor -1.
+    """
     conj = shapes.conjugate(mu)
-    out = QTPoly(1)
+    factors = Counter()
     for i, part in enumerate(mu, start=1):
         for j in range(1, part + 1):
             a, l = part - j, conj[j - 1] - i
-            out = out * (QTPoly.monomial(1, a, 0) - QTPoly.monomial(1, 0, l + 1))
-            out = out * (QTPoly.monomial(1, 0, l) - QTPoly.monomial(1, a + 1, 0))
-    return QTScalar(out)
+            factors[a, l + 1] += 1
+            factors[a + 1, l] += 1
+    return (-1) ** sum(mu), factors
+
+
+def _times_binomials(p: QTPoly, factors) -> QTPoly:
+    """p times the product of q^a - t^b over the multiset factors."""
+    for (a, b), k in factors.items():
+        binomial = QTPoly({(a, 0): 1, (0, b): -1})
+        for _ in range(k):
+            p = p * binomial
+    return p
+
+
+def _star_norm(mu) -> QTScalar:
+    """<H~_mu, H~_mu>_* = prod over cells of (q^a - t^(l+1)) (t^l - q^(a+1))."""
+    sign, factors = _star_norm_factors(mu)
+    return QTScalar(_times_binomials(QTPoly(sign), factors))
 
 
 @lru_cache(maxsize=None)
 def _star_pairings(n: int):
-    """mu -> ({lam: <s_lam, H~_mu>_*}, <H~_mu, H~_mu>_*) for every mu |- n.
+    """mu -> {lam: <s_lam, H~_mu>_*} for every mu |- n, as QTPolys.
 
     The pairings come from the Schur Gram matrix of the *-scalar product,
     built from the p-expansions of the s_lam; all of it is polynomial.
@@ -163,8 +195,8 @@ def _star_pairings(n: int):
             for nu, h in H.terms.items():
                 g = g + gram[lam, nu] * h.num
             if g:
-                row[lam] = QTScalar(g)
-        out[mu] = (row, _star_norm(mu))
+                row[lam] = g
+        out[mu] = row
     return out
 
 
@@ -176,13 +208,13 @@ def expand_in_eigenbasis(f: SymFun) -> dict:
     """
     out = {}
     for n, comp in f.convert("s").degree_components().items():
-        for mu, (row, norm) in _star_pairings(n).items():
+        for mu, row in _star_pairings(n).items():
             c = QT_ZERO
             for lam, v in comp.terms.items():
                 if lam in row:
-                    c = c + v * row[lam]
+                    c = c + v * QTScalar(row[lam])
             if c:
-                out[mu] = c / norm
+                out[mu] = c / _star_norm(mu)
     return out
 
 
@@ -209,20 +241,94 @@ def _bar(c: QTScalar) -> QTScalar:
     return QTScalar(num, QTPoly.monomial(1, a, b))
 
 
+def _cancel(num: QTPoly, den: Counter, factors) -> QTPoly:
+    """num divided by the factors q^a - t^b in the multiset factors that
+    divide it; each one divided out is removed from den in place."""
+    for (a, b), k in list(factors.items()):
+        for _ in range(k):
+            quo = num.div_binomial(a, b)
+            if quo is None:
+                break
+            num = quo
+            den[a, b] -= 1
+    den += Counter()  # drop the zero counts
+    return num
+
+
+def _add_fractions(x, y):
+    """x + y for fractions (num, den) over multisets den of binomials.
+
+    The gcd of the denominators is taken as their multiset intersection
+    g, so the sum is n1 prod(d2 - g) + n2 prod(d1 - g) over d1 | d2, and
+    only a factor of g can cancel.
+    """
+    (n1, d1), (n2, d2) = x, y
+    g = d1 & d2
+    num = _times_binomials(n1, d2 - g) + _times_binomials(n2, d1 - g)
+    den = d1 | d2
+    return _cancel(num, den, g), den
+
+
+def _swapped(x):
+    """x(t, q) for a fraction x = (num, den): q^a - t^b becomes -(q^b - t^a)."""
+    num, den = x
+    sign = (-1) ** sum(den.values())
+    return (QTPoly({(j, i): sign * c for (i, j), c in num.terms.items()}),
+            Counter({(b, a): k for (a, b), k in den.items()}))
+
+
+def _nabla_column(lam: tuple) -> SymFun:
+    """nabla s_lam = sum over mu of c_mu ev_mu H~_mu, with no gcd.
+
+    c_mu = <s_lam, H~_mu>_* / <H~_mu, H~_mu>_* keeps as its denominator
+    the binomial factors of the *-norm that do not divide the pairing, and
+    the sum over mu is a Henrici sum over those multisets.  Swapping q and
+    t fixes the *-scalar product and sends H~_mu, ev_mu and the *-norm of
+    mu to those of mu' (H~_mu'(q, t) = H~_mu(t, q)), so the term of mu' is
+    the swap of the term of mu: only the mu >= mu' are summed, and the sum
+    over mu > mu' is added to its swap.  The column is a polynomial, so
+    each factor left at the end divides the numerator exactly.
+    """
+    n = sum(lam)
+    basis = eigenbasis(n)
+    above, self_conj = {}, {}  # sums over mu > mu' and over mu = mu'
+    for mu, row in _star_pairings(n).items():
+        pair = row.get(lam)
+        conj = shapes.conjugate(mu)
+        if pair is None or mu < conj:
+            continue
+        sums = self_conj if mu == conj else above
+        sign, den = _star_norm_factors(mu)
+        num = _cancel(pair * nabla_eigenvalue(mu).num * sign, den, den.copy())
+        for nu, h in basis[mu].terms.items():
+            term = (num * h.num, den)
+            sums[nu] = _add_fractions(sums[nu], term) if nu in sums else term
+    out = {}
+    for nu in shapes.partitions_of(n):
+        terms = [self_conj[nu]] if nu in self_conj else []
+        if nu in above:
+            terms += [above[nu], _swapped(above[nu])]
+        if not terms:
+            continue
+        num, den = reduce(_add_fractions, terms)
+        for a, b in den.elements():
+            num = num.div_binomial(a, b)
+            assert num is not None, "nabla column with a non-polynomial coefficient"
+        if num:
+            out[nu] = QTScalar._raw(num, QTPoly(1))
+    return SymFun._raw("s", out)
+
+
 def _column(sign: int, lam: tuple) -> SymFun:
     """nabla^sign s_lam (sign is 1 or -1), computed once and stored.
 
-    nabla s_lam sums c_mu ev_mu H~_mu over the H~ coordinates of s_lam;
     nabla^(-1) s_lam is omega of the bar of nabla s_lam'.
     """
     key = (sign, lam)
     col = _columns.get(key)
     if col is None:
         if sign > 0:
-            basis = eigenbasis(sum(lam))
-            coords = {mu: c * nabla_eigenvalue(mu)
-                      for mu, c in expand_in_eigenbasis(s_(lam)).items()}
-            col = sum_columns("s", coords, lambda mu: basis[mu].terms)
+            col = _nabla_column(lam)
         else:
             conj = shapes.conjugate
             col = SymFun("s", {conj(nu): _bar(c) for nu, c in _column(1, conj(lam)).terms.items()})

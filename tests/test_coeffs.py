@@ -308,7 +308,7 @@ def test_laurent_sum_cancels_monomial_content():
     assert x + z == QTScalar(QTPoly(1), QTPoly({(0, 2): 1}))
 
 
-# -- exact division by 1 - q and 1 - t -------------------------------------
+# -- exact division by q^a - t^b ---------------------------------------------
 
 ONE_MINUS_Q = QTPoly({(0, 0): 1, (1, 0): -1})
 ONE_MINUS_T = QTPoly({(0, 0): 1, (0, 1): -1})
@@ -317,21 +317,57 @@ ONE_MINUS_T = QTPoly({(0, 0): 1, (0, 1): -1})
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.one_of(polys, rational_polys))
 def test_div_one_minus_undoes_the_product(p):
-    assert (p * ONE_MINUS_Q).div_one_minus("q") == p
-    assert (p * ONE_MINUS_T).div_one_minus("t") == p
-    quo = (p * M_POLY).div_one_minus("q")
+    # 1 - q = -(q^1 - t^0) and 1 - t = q^0 - t^1
+    assert (p * ONE_MINUS_Q).div_binomial(1, 0) == -p
+    assert (p * ONE_MINUS_T).div_binomial(0, 1) == p
+    quo = -(p * M_POLY).div_binomial(1, 0)
     assert quo == p * ONE_MINUS_T
-    assert quo.div_one_minus("t") == p
-    _assert_int_or_proper_fraction(quo.div_one_minus("t"))
+    assert quo.div_binomial(0, 1) == p
+    _assert_int_or_proper_fraction(quo.div_binomial(0, 1))
 
 
 def test_div_one_minus_reports_inexact():
     q, t = QTPoly.monomial(1, 1, 0), QTPoly.monomial(1, 0, 1)
     for p in [QTPoly(1), q, QTPoly(1) - q + t, ONE_MINUS_Q * t + QTPoly(1)]:
-        assert p.div_one_minus("q") is None, p
-        assert p.div_one_minus("t") is None, p
+        assert p.div_binomial(1, 0) is None, p
+        assert p.div_binomial(0, 1) is None, p
     # one row exact, another not
-    assert (ONE_MINUS_Q + t * t).div_one_minus("q") is None
+    assert (ONE_MINUS_Q + t * t).div_binomial(1, 0) is None
+
+
+binomial_exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(polys, rational_polys), binomial_exponents)
+def test_div_binomial_undoes_the_product(p, ab):
+    a, b = ab
+    prod = p * QTPoly({(a, 0): 1, (0, b): -1})
+    quo = prod.div_binomial(a, b)
+    assert quo == p
+    _assert_int_or_proper_fraction(quo)
+    # q^a - t^b vanishes at q = t = 1, and prod + c does not when c != 0
+    for c in (1, -3, Fraction(1, 2)):
+        assert (prod + QTPoly(c)).div_binomial(a, b) is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(polys, rational_polys), binomial_exponents, binomial_exponents)
+def test_div_binomial_none_means_a_remainder(p, ab, cd):
+    # P = p (q^c - t^d) is divisible by q^a - t^b exactly when sympy's
+    # division of P by it leaves no remainder
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    a, b = ab
+    prod = p * QTPoly({(cd[0], 0): 1, (0, cd[1]): -1})
+    R, q, t = ring("q,t", QQ)
+    big = R.from_dict(dict(prod.terms)) if prod else R.zero
+    _, rem = big.div([q**a - t**b])
+    quo = prod.div_binomial(a, b)
+    assert (quo is None) == bool(rem)
+    if quo is not None:
+        assert quo * QTPoly({(a, 0): 1, (0, b): -1}) == prod
 
 
 # -- specialization: polynomial substitution against the QTPoly.subs route --

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from ehall import linalg, macdonald, shapes, symfun
+from ehall import coeffs, linalg, macdonald, shapes, symfun
 from ehall.checks import at_qt1, delta_dim
 from ehall.ehallops import apply_D, theta
 from ehall.macdonald import (
@@ -242,6 +242,28 @@ def test_nabla_columns_match_eigenbasis_route():
     for f in seeds:
         for power in range(-2, 3):
             assert nabla(f, power).to_json() == _nabla_whole(f, power).to_json(), (f, power)
+    for lam in shapes.partitions_of(6):
+        for power in (-1, 1):
+            f = s_(lam)
+            assert nabla(f, power).to_json() == _nabla_whole(f, power).to_json(), (f, power)
+
+
+def test_nabla_columns_take_no_gcd(monkeypatch):
+    # every gcd in coeffs goes through _to_zz; the columns must not reach it
+    for n in range(6):
+        eigenbasis(n)
+        macdonald._star_pairings(n)
+
+    def no_gcd(*args):
+        raise AssertionError("gcd taken while building a nabla column")
+
+    monkeypatch.setattr(macdonald, "_columns", {})
+    monkeypatch.setattr(coeffs, "_to_zz", no_gcd)
+    for n in range(6):
+        for lam in shapes.partitions_of(n):
+            for sign in (1, -1):
+                macdonald._column(sign, lam)
+    assert len(macdonald._columns) == 2 * sum(len(shapes.partitions_of(n)) for n in range(6))
 
 
 def test_nabla_inverse_round_trip_degree_6():
