@@ -7,12 +7,18 @@ coefficient appearing anywhere in the library is a QTScalar, including
 Laurent constants like (-qt)^(-j), whose negative exponents live in the
 denominator.
 
-A QTPoly coefficient is a plain ``int`` when it is integral and a
-``Fraction`` only when it is not: no coefficient is ever a float or a
-Fraction with denominator 1.  Integer-only arithmetic therefore stays in
-machine-friendly ints, and since ``str``, ``==`` and ``hash`` agree between
-the two types the wire format and memo keys are unaffected.  Reduction of
-a fraction with two non-constant sides is one cofactor call in sympy's
+A QTPoly is stored as integers over one denominator: a dict from
+exponents to nonzero ints and one int d > 0 coprime to all of them, a
+canonical form, so ``==`` and ``hash`` read it as it stands.  Sums bring
+two sides to the lcm of their denominators, products convolve the ints
+over the product of the denominators, and one ``math.gcd`` pass restores
+the form, only when d != 1: integer-only data never meets a Fraction.
+``QTPoly.terms`` is the rational view, for output and for readers outside
+this module: an ``int`` where a coefficient is integral and a
+``Fraction`` where it is not, so the wire format and memo keys read the
+same values as a dict of Fractions would give.
+
+Reduction of a QTScalar with two non-constant sides is one cofactor call in sympy's
 sparse ring Z[q,t], after clearing coefficient denominators, unless the
 denominator is a monomial: then only the common monomial content cancels.
 Sums of reduced values are reduced the way Henrici adds fractions: a
@@ -20,7 +26,8 @@ polynomial plus a fraction needs no gcd, two fractions are reduced only
 against the gcd of their denominators, and that gcd is a monomial, taken
 without a cofactor call, when either denominator is one.  Sums and
 products of two polynomials (denominator 1) are canonical as they stand
-and skip normalization altogether.
+and skip normalization altogether, and so is a product with an int or
+Fraction constant, which scales the numerator alone.
 
 Specialization at polynomial values (t = 1, q = t = 1, t = 1 + r)
 substitutes into the numerator and the denominator as QTPolys, one row of
@@ -36,7 +43,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, sub
 
 
@@ -49,44 +56,34 @@ def _grlex_key(expt):
     return (eq + et, eq)
 
 
-def _coef(c):
-    """c as an int when integral, else as a Fraction."""
-    if c.__class__ is not Fraction:
-        if c.__class__ is int:
-            return c
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+def _ratio(c, d):
+    """The rational c/d (d > 0) as an int when integral, else as a Fraction."""
+    if d == 1:
+        return c
+    return c // d if not c % d else Fraction(c, d)
 
 
-def _from_terms(terms):
-    """QTPoly over an exponent -> int/Fraction dict, dropping zeros and
-    turning integral Fractions into ints."""
-    clean = {}
-    for e, c in terms.items():
-        if c:
-            if c.__class__ is Fraction and c.denominator == 1:
-                c = c.numerator
-            clean[e] = c
+def _poly(t, d=1):
+    """QTPoly over the int dict t and d > 0, trusted to be canonical."""
     res = QTPoly.__new__(QTPoly)
-    res.terms = clean
+    res._t = t
+    res._d = d
     res._hash = None
     return res
 
 
-def _denominator_lcm(terms):
-    scale = 1
-    for c in terms.values():
-        if c.__class__ is Fraction:
-            scale = lcm(scale, c.denominator)
-    return scale
-
-
-def _scaled(terms, scale):
-    """The coefficients times scale, a multiple of every denominator: ints."""
-    if scale == 1:
-        return terms
-    return {e: c * scale if c.__class__ is int else c.numerator * (scale // c.denominator)
-            for e, c in terms.items()}
+def _reduced(t, d):
+    """QTPoly t/d for an int dict t with no zero value and an int d > 0:
+    one gcd pass makes d coprime to the coefficients, when d != 1."""
+    if d != 1:
+        if not t:
+            d = 1
+        else:
+            g = gcd(d, *t.values())
+            if g != 1:
+                d //= g
+                t = {e: c // g for e, c in t.items()}
+    return _poly(t, d)
 
 
 def _div_rows(rows, a, b):
@@ -125,9 +122,13 @@ def _power(cache, base, n):
 
 
 class QTPoly:
-    """Sparse polynomial in q, t over Q.  Exponents are nonnegative."""
+    """Sparse polynomial in q, t over Q.  Exponents are nonnegative.
 
-    __slots__ = ("terms", "_hash")
+    Stored as _t / _d: _t maps exponents to nonzero ints, _d > 0 is an int,
+    and gcd(_d, every value of _t) = 1, so the pair is canonical.
+    """
+
+    __slots__ = ("_t", "_d", "_hash")
 
     def __init__(self, terms=None):
         if terms is None:
@@ -135,28 +136,47 @@ class QTPoly:
         elif isinstance(terms, (int, Fraction)):
             terms = {(0, 0): terms}
         clean = {}
+        d = 1
         for (eq, et), c in terms.items():
             if eq < 0 or et < 0:
                 raise ValueError("QTPoly exponents must be nonnegative")
-            c = _coef(c)
+            if c.__class__ is not int:
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
+                else:
+                    d = lcm(d, c.denominator)
             if c:
                 clean[(eq, et)] = c
-        self.terms = clean
-        self._hash = None
+        if d != 1:
+            clean = _reduced({e: c * d if c.__class__ is int else c.numerator * (d // c.denominator)
+                              for e, c in clean.items()}, d)
+            clean, d = clean._t, clean._d
+        self._t, self._d, self._hash = clean, d, None
+
+    @property
+    def terms(self):
+        """The coefficients as a read-only dict exponent -> int or Fraction:
+        an int wherever the coefficient is integral.  With denominator 1
+        this is the stored dict itself, which must not be mutated."""
+        d = self._d
+        if d == 1:
+            return self._t
+        return {e: _ratio(c, d) for e, c in self._t.items()}
 
     @staticmethod
     def monomial(c, eq, et):
         return QTPoly({(eq, et): c})
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def __eq__(self, other):
-        if not isinstance(other, QTPoly):
+        if other.__class__ is not QTPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = QTPoly(other)
-        return self.terms == other.terms
+        return self._d == other._d and self._t == other._t
 
     def __hash__(self):
         if self._hash is None:
@@ -164,45 +184,52 @@ class QTPoly:
         return self._hash
 
     def __add__(self, other):
-        if not isinstance(other, QTPoly):
+        if other.__class__ is not QTPoly:
             other = QTPoly(other)
-        out = dict(self.terms)
-        get = out.get
-        for e, c in other.terms.items():
-            out[e] = get(e, 0) + c
-        return _from_terms(out)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            out = dict(self._t)
+            get = out.get
+            for e, c in other._t.items():
+                out[e] = get(e, 0) + c
+        else:
+            d = lcm(d1, d2)
+            s1, s2 = d // d1, d // d2
+            out = {e: c * s1 for e, c in self._t.items()}
+            get = out.get
+            for e, c in other._t.items():
+                out[e] = get(e, 0) + c * s2
+            d1 = d
+        return _reduced({e: c for e, c in out.items() if c}, d1)
 
     def __neg__(self):
-        res = QTPoly.__new__(QTPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        res._hash = None
-        return res
+        return _poly({e: -c for e, c in self._t.items()}, self._d)
 
     def __sub__(self, other):
-        if not isinstance(other, QTPoly):
+        if other.__class__ is not QTPoly:
             other = QTPoly(other)
         return self + (-other)
 
+    def _times(self, n, m=1):
+        """self * n / m for ints n != 0, m > 0."""
+        return _reduced({e: c * n for e, c in self._t.items()}, self._d * m)
+
     def __mul__(self, other):
-        if not isinstance(other, QTPoly):
-            c0 = _coef(other)
-            if not c0:
-                return QTPoly()
-            return _from_terms({e: c * c0 for e, c in self.terms.items()})
-        # multiply over Z and divide once: Fraction products are far dearer
-        s1 = _denominator_lcm(self.terms)
-        s2 = _denominator_lcm(other.terms)
-        t2 = _scaled(other.terms, s2).items()
+        if other.__class__ is not QTPoly:
+            if other.__class__ is not int:
+                other = Fraction(other)
+                if not other:
+                    return QTPoly()
+                return self._times(other.numerator, other.denominator)
+            return self._times(other) if other else QTPoly()
         out = {}
         get = out.get
-        for (a1, b1), c1 in _scaled(self.terms, s1).items():
+        t2 = other._t.items()
+        for (a1, b1), c1 in self._t.items():
             for (a2, b2), c2 in t2:
                 e = (a1 + a2, b1 + b2)
                 out[e] = get(e, 0) + c1 * c2
-        if s1 * s2 != 1:
-            d = s1 * s2
-            out = {e: Fraction(c, d) for e, c in out.items()}
-        return _from_terms(out)
+        return _reduced({e: c for e, c in out.items() if c}, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -220,15 +247,15 @@ class QTPoly:
 
     def leading(self):
         """Leading (exponent, coeff) under grlex with q before t."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self._t, key=_grlex_key)
+        return e, _ratio(self._t[e], self._d)
 
     def is_constant(self):
-        terms = self.terms
-        return not terms or (len(terms) == 1 and (0, 0) in terms)
+        t = self._t
+        return not t or (len(t) == 1 and (0, 0) in t)
 
     def const(self):
-        return self.terms.get((0, 0), 0)
+        return _ratio(self._t.get((0, 0), 0), self._d)
 
     def div_binomial(self, a, b):
         """The exact quotient self / (q^a - t^b), or None when the division
@@ -238,12 +265,12 @@ class QTPoly:
         a remainder at once.  Otherwise the division runs over dense rows
         of equal t-exponent (see _div_rows); for b = 0 the roles of q and
         t are swapped, since q^a - 1 = -(q'^0 - t'^a) with q' = t, t' = q.
+        The quotient keeps the denominator: q^a - t^b has content 1, so by
+        Gauss's lemma the quotient has the content of self.
         """
-        if not self.terms:
+        terms = self._t
+        if not terms:
             return QTPoly()
-        # divide over Z and scale back once: Fraction sums are far dearer
-        scale = _denominator_lcm(self.terms)
-        terms = _scaled(self.terms, scale)
         if sum(terms.values()):
             return None
         swap = not b
@@ -261,31 +288,30 @@ class QTPoly:
             out = {(j, i): -c for j, row in enumerate(quo) for i, c in enumerate(row) if c}
         else:
             out = {(i, j): c for j, row in enumerate(quo) for i, c in enumerate(row) if c}
-        if scale != 1:
-            out = {e: Fraction(c, scale) for e, c in out.items()}
-        return _from_terms(out)
+        return _poly(out, self._d)
 
     def subs_poly(self, vq, vt):
         """self(vq, vt) for QTPoly values: each row of equal t-exponent is
-        evaluated at vq, then multiplied by vt to that exponent."""
+        evaluated at vq over the common denominator of its powers of vq,
+        then multiplied by vt to that exponent."""
         pow_q, pow_t = [QTPoly(1)], [QTPoly(1)]
         rows = {}
-        for (eq, et), c in self.terms.items():
-            rows.setdefault(et, []).append((eq, c))
-        out = {}
-        get = out.get
+        for (eq, et), c in self._t.items():
+            rows.setdefault(et, []).append((_power(pow_q, vq, eq), c))
+        out = QTPoly()
         for et, row in rows.items():
+            d = lcm(*[p._d for p, _ in row])
             acc = {}
-            acc_get = acc.get
-            for eq, c in row:
-                for e, v in _power(pow_q, vq, eq).terms.items():
-                    acc[e] = acc_get(e, 0) + c * v
-            val = _from_terms(acc)
+            get = acc.get
+            for p, c in row:
+                c *= d // p._d
+                for e, v in p._t.items():
+                    acc[e] = get(e, 0) + c * v
+            val = _reduced({e: c for e, c in acc.items() if c}, d)
             if et:
                 val = val * _power(pow_t, vt, et)
-            for e, v in val.terms.items():
-                out[e] = get(e, 0) + v
-        return _from_terms(out)
+            out = out + val
+        return out if self._d == 1 else _reduced(out._t, out._d * self._d)
 
     def subs(self, vq, vt):
         """Evaluate at QTScalar values vq, vt."""
@@ -301,14 +327,14 @@ class QTPoly:
         return total
 
     def _monomial_content(self):
-        eq = min(e[0] for e in self.terms)
-        et = min(e[1] for e in self.terms)
+        eq = min(e[0] for e in self._t)
+        et = min(e[1] for e in self._t)
         return eq, et
 
     def _shift_down(self, eq, et):
         if not eq and not et:
             return self
-        return _from_terms({(a - eq, b - et): c for (a, b), c in self.terms.items()})
+        return _poly({(a - eq, b - et): c for (a, b), c in self._t.items()}, self._d)
 
     def to_json(self):
         return [[str(c), e[0], e[1]] for e, c in sorted(self.terms.items())]
@@ -318,7 +344,7 @@ class QTPoly:
         return QTPoly({(int(eq), int(et)): Fraction(c) for c, eq, et in data})
 
     def __repr__(self):
-        if not self.terms:
+        if not self._t:
             return "0"
         bits = []
         for (eq, et), c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True):
@@ -358,24 +384,29 @@ def _zz_ring():
 
 def _to_zz(a: QTPoly, b: QTPoly):
     """a and b as elements of Z[q,t], both scaled by the lcm of their
-    coefficient denominators."""
-    scale = lcm(_denominator_lcm(a.terms), _denominator_lcm(b.terms))
+    denominators."""
+    scale = lcm(a._d, b._d)
     ring = _zz_ring()
-    return ring.from_dict(_scaled(a.terms, scale)), ring.from_dict(_scaled(b.terms, scale))
+    return tuple(ring.from_dict(p._t if p._d == scale else
+                                {e: c * (scale // p._d) for e, c in p._t.items()})
+                 for p in (a, b))
 
 
 def _from_zz(f):
     """A Z[q,t] element as a QTPoly with int coefficients."""
-    return _from_terms({e: int(c) for e, c in f.items()})
+    return _poly({e: int(c) for e, c in f.items()})
 
 
 def _monic(num: QTPoly, den: QTPoly):
-    """(num, den) scaled so that den is monic under grlex."""
-    _, lc = den.leading()
-    if lc != 1:
-        inv = Fraction(1) / lc
-        num = num * inv
-        den = den * inv
+    """(num, den) scaled so that den is monic under grlex: both are
+    multiplied by d / c, where c / d is the leading coefficient of den."""
+    t = den._t
+    c, d = t[max(t, key=_grlex_key)], den._d
+    if c != d:
+        if c < 0:
+            c, d = -c, -d
+        num = num._times(d, c)
+        den = _reduced(t if d > 0 else {e: -v for e, v in t.items()}, c)
     return num, den
 
 
@@ -418,11 +449,11 @@ class QTScalar:
 
     @staticmethod
     def zero():
-        return QTScalar._raw(QTPoly(), QTPoly(1))
+        return QTScalar._raw(_poly({}), _poly({(0, 0): 1}))
 
     @staticmethod
     def one():
-        return QTScalar._raw(QTPoly(1), QTPoly(1))
+        return QTScalar._raw(_poly({(0, 0): 1}), _poly({(0, 0): 1}))
 
     @staticmethod
     def from_fraction(c):
@@ -465,9 +496,9 @@ class QTScalar:
             return QTScalar(self.num + other.num, self.den)
         # a polynomial p plus a reduced n/d is (n + p d)/d: already reduced,
         # since gcd(n + p d, d) = gcd(n, d) = 1, and d is monic
-        if other.den == 1:
+        if _is_one(other.den):
             return QTScalar._raw(self.num + other.num * self.den, self.den)
-        if self.den == 1:
+        if _is_one(self.den):
             return QTScalar._raw(other.num + self.num * other.den, other.den)
         return QTScalar._raw(*_add_reduced(self.num, self.den, other.num, other.den))
 
@@ -486,6 +517,11 @@ class QTScalar:
         return _coerce(other) - self
 
     def __mul__(self, other):
+        if other.__class__ is int or other.__class__ is Fraction:
+            # a nonzero constant leaves num/den reduced and den monic
+            if not self or not other:
+                return QTScalar.zero()
+            return QTScalar._raw(self.num * other, self.den)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -531,10 +567,10 @@ class QTScalar:
         return result
 
     def is_polynomial(self):
-        return self.den == QTPoly(1)
+        return _is_one(self.den)
 
     def is_constant(self):
-        return self.num.is_constant() and self.den == QTPoly(1)
+        return self.num.is_constant() and _is_one(self.den)
 
     def as_fraction(self):
         if not self.is_constant():
@@ -578,14 +614,14 @@ class QTScalar:
         )
 
     def __repr__(self):
-        if self.den == QTPoly(1):
+        if _is_one(self.den):
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
 
 def _is_one(p: QTPoly):
-    terms = p.terms
-    return len(terms) == 1 and terms.get((0, 0)) == 1
+    t = p._t
+    return len(t) == 1 and p._d == 1 and t.get((0, 0)) == 1
 
 
 def _coerce(x):
@@ -613,7 +649,7 @@ def _normalize(num: QTPoly, den: QTPoly):
             num = num._shift_down(mq, mt)
             den = den._shift_down(mq, mt)
         # a one-term side shares nothing but monomial content with the other
-        if len(den.terms) > 1 and len(num.terms) > 1:
+        if len(den._t) > 1 and len(num._t) > 1:
             fn, fd = _to_zz(num, den)
             _, fn, fd = fn.cofactors(fd)
             num, den = _from_zz(fn), _from_zz(fd)
@@ -630,7 +666,7 @@ def _add_reduced(a: QTPoly, b: QTPoly, c: QTPoly, d: QTPoly):
     When b or d is a monomial, g is the common monomial content and no
     gcd is taken at all.
     """
-    if len(b.terms) == 1 or len(d.terms) == 1:
+    if len(b._t) == 1 or len(d._t) == 1:
         (bq, bt), (dq, dt) = b._monomial_content(), d._monomial_content()
         gq, gt = min(bq, dq), min(bt, dt)
         big_b, big_d = b._shift_down(gq, gt), d._shift_down(gq, gt)
@@ -644,7 +680,7 @@ def _add_reduced(a: QTPoly, b: QTPoly, c: QTPoly, d: QTPoly):
     num = a * big_d + c * big_b
     if g.is_ground:
         return _monic(num, b * big_d)
-    scale = lcm(_denominator_lcm(b.terms), _denominator_lcm(d.terms))
+    scale = lcm(b._d, d._d)
     fn, fg = _to_zz(num, _from_zz(g))
     _, fn, fg = fn.cofactors(fg)
     return _monic(_from_zz(fn) * scale, _from_zz(fg) * big_b * big_d)

@@ -174,6 +174,9 @@ def _star_pairings(n: int):
 
     The pairings come from the Schur Gram matrix of the *-scalar product,
     built from the p-expansions of the s_lam; all of it is polynomial.
+    Swapping q and t fixes the *-scalar product and sends H~_mu to H~_mu',
+    so the row of mu' is the swap of the row of mu: only the rows with
+    mu >= mu' are summed.
     """
     parts = shapes.partitions_of(n)
     in_p = {lam: {rho: c.as_fraction() for rho, c in s_(lam).convert("p").terms.items()}
@@ -189,6 +192,11 @@ def _star_pairings(n: int):
             gram[lam, nu] = gram[nu, lam] = g
     out = {}
     for mu, H in eigenbasis(n).items():
+        conj = shapes.conjugate(mu)
+        if mu < conj:
+            # mu' > mu comes first in the reverse-lexicographic order
+            out[mu] = {lam: _swap_qt(g) for lam, g in out[conj].items()}
+            continue
         row = {}
         for lam in parts:
             g = QTPoly()
@@ -269,11 +277,16 @@ def _add_fractions(x, y):
     return _cancel(num, den, g), den
 
 
+def _swap_qt(p: QTPoly) -> QTPoly:
+    """p(t, q)."""
+    return QTPoly({(j, i): c for (i, j), c in p.terms.items()})
+
+
 def _swapped(x):
     """x(t, q) for a fraction x = (num, den): q^a - t^b becomes -(q^b - t^a)."""
     num, den = x
-    sign = (-1) ** sum(den.values())
-    return (QTPoly({(j, i): sign * c for (i, j), c in num.terms.items()}),
+    num = _swap_qt(num)
+    return (-num if sum(den.values()) % 2 else num,
             Counter({(b, a): k for (a, b), k in den.items()}))
 
 

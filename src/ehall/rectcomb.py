@@ -194,16 +194,18 @@ def bizley(a: int, b: int, d: int) -> SymFun:
     """sum over mu of d of prod_i (1/a) e_(b mu_i)[a mu_i x] / z_mu.
 
     Equals the riser enumerator of (ad, bd)-Dyck paths (the q = 1 count).
+    The terms are summed in p, the basis of the generators, and the sum is
+    converted to e once.
     """
     if gcd(a, b) != 1:
         raise ValueError("a, b must be coprime")
-    total = SymFun.zero("e")
+    total = SymFun.zero("p")
     for mu in shapes.partitions_of(d):
-        term = SymFun.one("e")
+        term = SymFun.one("p")
         for part in mu:
             term = symfun.mul(term, _bizley_generator(a, b, part))
-        total = total + term.scale(QTScalar(Fraction(1, shapes.z_stat(mu))))
-    return total
+        total = total + term.scale(Fraction(1, shapes.z_stat(mu)))
+    return total.convert("e")
 
 
 # ---------------------------------------------------------------------------

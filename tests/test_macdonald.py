@@ -221,6 +221,43 @@ def test_star_pairing_coordinates_match_inverse_oracle():
     assert _coords_json(expand_in_eigenbasis(f)) == _coords_json(_expand_by_inverse(f))
 
 
+def _star_pairings_by_gram(n):
+    """mu -> {lam: <s_lam, H~_mu>_*} for every mu |- n from the Schur Gram
+    matrix of the *-scalar product, with no q <-> t swap."""
+    parts = shapes.partitions_of(n)
+    in_p = {lam: {rho: c.as_fraction() for rho, c in s_(lam).convert("p").terms.items()}
+            for lam in parts}
+    gram = {}
+    for lam in parts:
+        for nu in parts:
+            g = coeffs.QTPoly()
+            for rho, c in in_p[lam].items():
+                if rho in in_p[nu]:
+                    g = g + macdonald._star_norm_p(rho) * (c * in_p[nu][rho])
+            gram[lam, nu] = g
+    out = {}
+    for mu, H in eigenbasis(n).items():
+        row = {}
+        for lam in parts:
+            g = coeffs.QTPoly()
+            for nu, h in H.terms.items():
+                g = g + gram[lam, nu] * h.num
+            if g:
+                row[lam] = g
+        out[mu] = row
+    return out
+
+
+def test_star_pairings_match_gram_route():
+    # the rows of mu < mu' are the q <-> t swaps of the rows of mu'
+    for n in range(7):
+        got, want = macdonald._star_pairings(n), _star_pairings_by_gram(n)
+        assert list(got) == list(want)
+        for mu in want:
+            assert [(lam, g.to_json()) for lam, g in got[mu].items()] == \
+                [(lam, g.to_json()) for lam, g in want[mu].items()], (n, mu)
+
+
 def _mixed_seeds():
     """Seeds in every basis, with rational and Laurent coefficients and
     mixed degrees, degree 0 included."""
