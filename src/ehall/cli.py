@@ -258,7 +258,7 @@ def cache_put(key: str, value, millis: int = 0):
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(entry, fh, sort_keys=True)
+            fh.write(json.dumps(entry, sort_keys=True))
         os.replace(tmp, os.path.join(d, key + ".json"))
     except BaseException:
         if os.path.exists(tmp):

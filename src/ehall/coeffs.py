@@ -18,9 +18,12 @@ this module: an ``int`` where a coefficient is integral and a
 ``Fraction`` where it is not, so the wire format and memo keys read the
 same values as a dict of Fractions would give.
 
-Reduction of a QTScalar with two non-constant sides is one cofactor call in sympy's
-sparse ring Z[q,t], after clearing coefficient denominators, unless the
-denominator is a monomial: then only the common monomial content cancels.
+Reduction of a QTScalar with two non-constant sides is one cofactor call,
+_cofactors, on the two int dicts, unless the denominator is a monomial:
+then only the common monomial content cancels.  _cofactors is a
+heuristic gcd in Z[q,t] (Char, Geddes and Gonnet): it evaluates q and
+then t at integers, takes math.gcd and reads the polynomial gcd back from
+the digits, checked by multiplying out; it needs no library.
 Sums of reduced values are reduced the way Henrici adds fractions: a
 polynomial plus a fraction needs no gcd, two fractions are reduced only
 against the gcd of their denominators, and that gcd is a monomial, taken
@@ -43,7 +46,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter, sub
 
 
@@ -363,38 +366,162 @@ class QTPoly:
         return s
 
 
-_ZZ_RING = None
+def _points(start):
+    """Evaluation points for the heuristic gcd: start, then ever larger
+    (the growth Char, Geddes and Gonnet suggest)."""
+    xi = start
+    while True:
+        yield xi
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
 
 
-def _zz_ring():
-    """sympy's sparse ring Z[q,t], built on first use.
+def _digits(v, xi):
+    """The symmetric xi-adic digits of the int v, lowest first: each in
+    (-xi/2, xi/2], the last one nonzero.  xi >= 3."""
+    out = []
+    half = xi // 2
+    while v:
+        v, d = divmod(v, xi)
+        if d > half:
+            d -= xi
+            v += 1
+        out.append(d)
+    return out
 
-    Its term order only steers sympy's internal leading terms: the
-    canonical form applies grlex itself (see _monic), and under sympy's
-    default lex order a leading term is a plain max() over the exponents.
+
+def _value(p, x):
+    """The dense int list p (lowest degree first) at x, by Horner."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _mul_dense(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _gcd_zt(f, g):
+    """(h, cf, cg) with f = h cf and g = h cg, h a gcd in Z[t] of the
+    nonzero dense int lists f and g (lowest degree first).
+
+    The heuristic gcd of _cofactors in one variable: the contents are
+    split off, the primitive parts are evaluated at t = xi, and the
+    integer gcd of the two values and the cofactor values are read back
+    from their symmetric xi-adic digits.  The primitive part of the gcd
+    so read is accepted when it times each cofactor gives back f and g.
+    The stray factor, the gcd of the cofactors' values, divides their
+    resultant, a fixed nonzero integer, so once xi passes twice it times
+    the largest coefficient of h, cf and cg, the check holds.
     """
-    global _ZZ_RING
-    if _ZZ_RING is None:
-        from sympy import ZZ
-        from sympy.polys.rings import ring
+    cf, cg = gcd(*f), gcd(*g)
+    c = gcd(cf, cg)
+    f = [v // cf for v in f]
+    g = [v // cg for v in g]
+    h = [1]
+    if len(f) > 1 and len(g) > 1:
+        nf, ng = max(map(abs, f)), max(map(abs, g))
+        least = 2 * min(nf, ng) + 2
+        for xi in _points(2 * max(nf, ng) + 2):
+            ff, gg = _value(f, xi), _value(g, xi)
+            if xi < least or not ff or not gg:
+                continue
+            h = _digits(gcd(ff, gg), xi)
+            content = gcd(*h)
+            h = [v // content for v in h]
+            if len(h) == 1:
+                break
+            hv = _value(h, xi)
+            f1, g1 = _digits(ff // hv, xi), _digits(gg // hv, xi)
+            if _mul_dense(h, f1) == f and _mul_dense(h, g1) == g:
+                f, g = f1, g1
+                break
+    return ([c * v for v in h], [cf // c * v for v in f], [cg // c * v for v in g])
 
-        _ZZ_RING = ring("q,t", ZZ)[0]
-    return _ZZ_RING
+
+def _cofactors(f, g):
+    """(h, cf, cg) with f = h cf and g = h cg exactly, h a gcd in Z[q,t]
+    of the nonzero int dicts f and g (exponents -> nonzero ints); the
+    sign of h is not fixed.
+
+    A heuristic gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989).  The integer and the monomial contents are split off first.
+    Then q is evaluated at an integer xi, the two images in Z[t] take
+    their gcd H and cofactors by _gcd_zt, and each coefficient of H is
+    read back as a polynomial in q from its symmetric xi-adic digits; h
+    is the primitive part of the result, and the cofactors are read back
+    the same way.  The result is accepted when h cf == f and h cg == g.
+    At xi >= 2 min(|f|, |g|) + 2 (max-norms) h is then the gcd: another
+    common factor k would have |k(xi, t)| > xi/2, by the bound on the
+    roots of f and g, yet divide the integer content taken off h, which
+    is at most xi/2.  Points below that bound are skipped; the first one
+    tried is 2 max(|f|, |g|) + 2, which spares most retries for a
+    cofactor of the larger side, and no image vanishes there.
+
+    Otherwise xi grows and the step repeats, without limit.  It ends: let
+    f = G F1 and g = G G1 with G the gcd.  H is G(xi, t) times a stray
+    factor, the gcd of F1(xi, t) and G1(xi, t).  Once xi is not a root of
+    the resultant Res_t(F1, G1), which is not zero, the stray factor is
+    an integer, and it divides a fixed integer combination of the
+    coefficients of F1 and G1, which share no factor.  So it is bounded,
+    and once xi passes twice that bound times the largest coefficient of
+    G, F1 and G1, every digit read back is exact and the check holds.
+    """
+    cf, cg = gcd(*f.values()), gcd(*g.values())
+    fq, ft = min(map(itemgetter(0), f)), min(map(itemgetter(1), f))
+    gq, gt = min(map(itemgetter(0), g)), min(map(itemgetter(1), g))
+    f = {(a - fq, b - ft): v // cf for (a, b), v in f.items()}
+    g = {(a - gq, b - gt): v // cg for (a, b), v in g.items()}
+    h = {(0, 0): 1}
+    if len(f) > 1 and len(g) > 1:
+        nf, ng = max(map(abs, f.values())), max(map(abs, g.values()))
+        least = 2 * min(nf, ng) + 2
+        for xi in _points(2 * max(nf, ng) + 2):
+            fx, gx = _at_q(f, xi), _at_q(g, xi)
+            if xi < least or not fx or not gx:
+                continue
+            hx, fx, gx = _gcd_zt(fx, gx)
+            h = _from_digits(hx, xi)
+            content = gcd(*h.values())
+            h = {e: v // content for e, v in h.items()}
+            if h == {(0, 0): 1}:
+                break
+            f1 = _from_digits([content * v for v in fx], xi)
+            g1 = _from_digits([content * v for v in gx], xi)
+            ph = _poly(h)
+            if (ph * _poly(f1))._t == f and (ph * _poly(g1))._t == g:
+                f, g = f1, g1
+                break
+    c = gcd(cf, cg)
+    mq, mt = min(fq, gq), min(ft, gt)
+    return ({(a + mq, b + mt): c * v for (a, b), v in h.items()},
+            {(a + fq - mq, b + ft - mt): cf // c * v for (a, b), v in f.items()},
+            {(a + gq - mq, b + gt - mt): cg // c * v for (a, b), v in g.items()})
 
 
-def _to_zz(a: QTPoly, b: QTPoly):
-    """a and b as elements of Z[q,t], both scaled by the lcm of their
-    denominators."""
-    scale = lcm(a._d, b._d)
-    ring = _zz_ring()
-    return tuple(ring.from_dict(p._t if p._d == scale else
-                                {e: c * (scale // p._d) for e, c in p._t.items()})
-                 for p in (a, b))
+def _at_q(f, xi):
+    """The int dict f at q = xi, as a dense list over the t-exponents,
+    its top entry nonzero."""
+    powers = [1]
+    for _ in range(max(map(itemgetter(0), f))):
+        powers.append(powers[-1] * xi)
+    out = [0] * (1 + max(map(itemgetter(1), f)))
+    for (a, b), v in f.items():
+        out[b] += v * powers[a]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _from_zz(f):
-    """A Z[q,t] element as a QTPoly with int coefficients."""
-    return _poly({e: int(c) for e, c in f.items()})
+def _from_digits(coeffs, xi):
+    """The int dict whose row of t-exponent j has the symmetric xi-adic
+    digits of coeffs[j] as its coefficients, lowest power of q first."""
+    return {(i, j): d for j, v in enumerate(coeffs) for i, d in enumerate(_digits(v, xi)) if d}
 
 
 def _monic(num: QTPoly, den: QTPoly):
@@ -411,14 +538,19 @@ def _monic(num: QTPoly, den: QTPoly):
 
 
 def poly_gcd(a: QTPoly, b: QTPoly) -> QTPoly:
-    """Monic gcd of two QTPolys, computed in sympy's sparse ring Z[q,t]."""
+    """Monic gcd of two QTPolys: the gcd of their int numerators."""
     if not a:
         return b
     if not b:
         return a
-    fa, fb = _to_zz(a, b)
-    g = _from_zz(fa.gcd(fb))
+    g = _poly(_cofactors(a._t, b._t)[0])
     return g * (Fraction(1) / g.leading()[1])
+
+
+def _cancel(a: QTPoly, b: QTPoly):
+    """(A, B) with A / B = a / b, the gcd of the two numerators cancelled."""
+    _, fa, fb = _cofactors(a._t, b._t)
+    return _reduced(fa, a._d), _reduced(fb, b._d)
 
 
 class QTScalar:
@@ -650,19 +782,17 @@ def _normalize(num: QTPoly, den: QTPoly):
             den = den._shift_down(mq, mt)
         # a one-term side shares nothing but monomial content with the other
         if len(den._t) > 1 and len(num._t) > 1:
-            fn, fd = _to_zz(num, den)
-            _, fn, fd = fn.cofactors(fd)
-            num, den = _from_zz(fn), _from_zz(fd)
+            num, den = _cancel(num, den)
     return _monic(num, den)
 
 
 def _add_reduced(a: QTPoly, b: QTPoly, c: QTPoly, d: QTPoly):
     """Canonical a/b + c/d for reduced a/b and c/d with b != d (Henrici).
 
-    With s b = g B and s d = g D, where g = gcd(b, d) and s clears the
-    coefficient denominators, the sum is s (a D + c B) / (g B D).  Its
-    numerator is coprime to B and D, so only a factor of g can cancel,
-    and no gcd of the whole numerator with the whole denominator is taken.
+    With b = g B and d = g D, where g is the gcd of the int numerators of
+    b and d, the sum is (a D + c B) / (g B D).  Its numerator is coprime
+    to B and D, so only a factor of g can cancel, and no gcd of the whole
+    numerator with the whole denominator is taken.
     When b or d is a monomial, g is the common monomial content and no
     gcd is taken at all.
     """
@@ -674,16 +804,13 @@ def _add_reduced(a: QTPoly, b: QTPoly, c: QTPoly, d: QTPoly):
         nq, nt = num._monomial_content()
         mq, mt = min(nq, gq), min(nt, gt)
         return _monic(num._shift_down(mq, mt), (b * big_d)._shift_down(mq, mt))
-    fb, fd = _to_zz(b, d)
-    g, fb, fd = fb.cofactors(fd)
-    big_b, big_d = _from_zz(fb), _from_zz(fd)
+    g, fb, fd = _cofactors(b._t, d._t)
+    big_b, big_d = _reduced(fb, b._d), _reduced(fd, d._d)
     num = a * big_d + c * big_b
-    if g.is_ground:
+    if len(g) == 1 and (0, 0) in g:
         return _monic(num, b * big_d)
-    scale = lcm(b._d, d._d)
-    fn, fg = _to_zz(num, _from_zz(g))
-    _, fn, fg = fn.cofactors(fg)
-    return _monic(_from_zz(fn) * scale, _from_zz(fg) * big_b * big_d)
+    num, g = _cancel(num, _poly(g))
+    return _monic(num, g * big_b * big_d)
 
 
 # Common constants

@@ -322,6 +322,14 @@ def test_unusable_cache_dir_still_emits_the_result(tmp_path):
     assert got.stderr.startswith("warning:") and "Traceback" not in got.stderr
 
 
+def test_cache_file_holds_the_sorted_json_dump(tmp_path, monkeypatch):
+    monkeypatch.setenv("EHALL_CACHE_DIR", str(tmp_path))
+    value = SymFun("s", {(2, 1): QT_Q / (QT_ONE - QT_T), (3,): QTScalar(-2)}).to_json()
+    cli.cache_put("k", value, millis=7)
+    entry = {"value": value, "meta": {"version": cli.CALIBRATION_VERSION, "millis": 7}}
+    assert (tmp_path / "k.json").read_bytes() == json.dumps(entry, sort_keys=True).encode()
+
+
 def test_cache_key_includes_calibration():
     k1 = cli.cache_key("theta", {"x": 1})
     k2 = cli.cache_key("theta", {"x": 2})

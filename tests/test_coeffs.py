@@ -3,10 +3,15 @@
 from fractions import Fraction
 from math import gcd
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ehall import coeffs as kernel
 from ehall.coeffs import (
     M_POLY,
     QT_M,
@@ -459,3 +464,130 @@ def test_polynomial_specialization_pole_message():
     with pytest.raises(PoleError) as got:
         x.specialize(bind)
     assert str(got.value) == str(want.value)
+
+
+# -- the heuristic gcd against sympy's cofactors ----------------------------
+
+# int dicts; a side is content x (common factor) x (own factor), and any of
+# the factors may be a single term
+int_polys = st.dictionaries(st.tuples(exponents, exponents),
+                            st.integers(min_value=-4, max_value=4).filter(bool),
+                            min_size=1, max_size=4)
+one_terms = st.dictionaries(st.tuples(exponents, exponents),
+                            st.integers(min_value=-6, max_value=6).filter(bool),
+                            min_size=1, max_size=1)
+int_factors = st.one_of(int_polys, int_polys, one_terms)
+contents = st.sampled_from([1, -1, 2, -3, 6, -12, 30])
+
+
+def _product(*factors):
+    out = QTPoly(1)
+    for f in factors:
+        out = out * QTPoly(f)
+    return dict(out.terms)
+
+
+@st.composite
+def gcd_pairs(draw):
+    common = draw(int_factors)
+    return tuple(_product({(0, 0): draw(contents)}, common, draw(int_factors)) for _ in "fg")
+
+
+_SIDE = {(7, 0): 1, (3, 4): -5, (0, 7): 1, (0, 0): 45}
+_GCD_EXAMPLES = [
+    # at q = 3 the value 4 of q^2 - q - 2 has the digits of its factor q + 1
+    ({(2, 0): 1, (1, 0): -1, (0, 0): -2}, {(2, 0): 1, (1, 0): -1, (0, 0): -2}),
+    ({(1, 1): 3}, {(2, 0): -6, (0, 1): 4}),
+    # at q = 3 the common factor qt - 3t + 1 is 1
+    (_product({(1, 1): 1, (0, 1): -3, (0, 0): 1}, {(1, 0): 1, (0, 1): 1}),
+     _product({(1, 1): 1, (0, 1): -3, (0, 0): 1}, {(0, 1): 1, (0, 0): 2})),
+    # at t = 3 a common factor of the images in Z[t] can take the value 1
+    (_product({(1, 0): 2, (0, 1): -1}, {(2, 2): 1, (0, 2): -3}),
+     _product({(1, 0): 2, (0, 1): -1}, {(0, 1): -3})),
+    ({(3, 1): -1, (0, 0): 1}, {(0, 2): 1, (1, 0): -1}),
+    # norms 1 and 45: the larger side's cofactor needs a larger point
+    (_product({(0, 0): 720}, {(1, 1): 1, (0, 0): 1}), _product({(1, 1): 1, (0, 0): 1}, _SIDE)),
+]
+
+
+def _with_fixed_pairs(test):
+    for pair in _GCD_EXAMPLES:
+        test = example(pair)(test)
+    return test
+
+
+def _sympy_cofactors(f, g):
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    R = ring("q,t", ZZ)[0]
+    return tuple({e: int(c) for e, c in p.items()} for p in R.from_dict(f).cofactors(R.from_dict(g)))
+
+
+def _assert_cofactors(f, g, got):
+    h, cf, cg = got
+    assert _product(h, cf) == f and _product(h, cg) == g
+    want = _sympy_cofactors(f, g)
+    negated = tuple({e: -c for e, c in p.items()} for p in want)
+    assert got in (want, negated), (f, g)
+
+
+@_with_fixed_pairs
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gcd_pairs())
+def test_cofactors_match_sympy(pair):
+    _assert_cofactors(*pair, kernel._cofactors(*pair))
+
+
+@_with_fixed_pairs
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gcd_pairs())
+def test_cofactors_retry_from_point_3(pair):
+    # every bound 2 min(|f|, |g|) + 2 is at least 4, so the loop skips the
+    # point 3; from the bound up to its own first point 2 max(|f|, |g|) + 2
+    # a cofactor's digits can be inexact (the pair with norms 1 and 45 fails
+    # the check at 8 and 21 and passes at 114), and it retries.  At 2 the
+    # symmetric digits are 0 and 1 and cannot write -1.
+    points = kernel._points
+    drawn = []
+
+    def from_3(start):
+        for xi in points(3):
+            drawn.append(xi)
+            yield xi
+
+    want = kernel._cofactors(*pair)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_points", from_3)
+        got = kernel._cofactors(*pair)
+    assert got == want
+    assert len(drawn) != 1
+
+
+def test_poly_gcd_is_monic_and_exact():
+    a = QTPoly({(1, 0): 2, (0, 1): -2})
+    b = QTPoly({(2, 0): Fraction(1, 3), (0, 0): Fraction(-1, 3)})
+    g = poly_gcd(a * b, a * QTPoly({(0, 2): 5, (1, 0): 1}))
+    assert g == a * Fraction(1, 2) and g.leading()[1] == 1
+    assert poly_gcd(QTPoly(), b) == b and poly_gcd(a, QTPoly()) == a
+
+
+RUNTIME_WITHOUT_SYMPY = """
+import sys
+import ehall.checks, ehall.cli
+from ehall.coeffs import QTPoly, QTScalar, poly_gcd
+q1 = QTPoly({(1, 0): 1, (0, 0): 1})
+t1 = QTPoly({(0, 1): 1, (0, 0): -1})
+assert poly_gcd(q1 * t1, q1 * q1) == q1
+x = QTScalar(q1 * q1 * 3, q1 * t1)
+assert (x.num, x.den) == (q1 * 3, t1), x
+assert "sympy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sympy"))[:5]
+"""
+
+
+def test_runtime_does_not_import_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kernel.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", RUNTIME_WITHOUT_SYMPY], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr

@@ -286,7 +286,7 @@ def test_nabla_columns_match_eigenbasis_route():
 
 
 def test_nabla_columns_take_no_gcd(monkeypatch):
-    # every gcd in coeffs goes through _to_zz; the columns must not reach it
+    # every gcd in coeffs goes through _cofactors; the columns must not reach it
     for n in range(6):
         eigenbasis(n)
         macdonald._star_pairings(n)
@@ -295,7 +295,7 @@ def test_nabla_columns_take_no_gcd(monkeypatch):
         raise AssertionError("gcd taken while building a nabla column")
 
     monkeypatch.setattr(macdonald, "_columns", {})
-    monkeypatch.setattr(coeffs, "_to_zz", no_gcd)
+    monkeypatch.setattr(coeffs, "_cofactors", no_gcd)
     for n in range(6):
         for lam in shapes.partitions_of(n):
             for sign in (1, -1):
