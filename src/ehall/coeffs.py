@@ -10,9 +10,26 @@ denominator.
 A QTPoly is stored as integers over one denominator: a dict from
 exponents to nonzero ints and one int d > 0 coprime to all of them, a
 canonical form, so ``==`` and ``hash`` read it as it stands.  Sums bring
-two sides to the lcm of their denominators, products convolve the ints
+two sides to the lcm of their denominators, products multiply the ints
 over the product of the denominators, and one ``math.gcd`` pass restores
 the form, only when d != 1: integer-only data never meets a Fraction.
+
+A product of two int dicts f and g takes one path by the length of the
+shorter one:
+  * one term: each term of the other is shifted and scaled, with no merge
+    and no zero to drop;
+  * 8 terms or more: Kronecker substitution.  Each dict is packed into
+    one Python int, q^i t^j in slot i K + j with K = deg_t f + deg_t g + 1,
+    one big-int product is taken, and the coefficients are read back as
+    symmetric slot digits.  Slots of w bits with
+    2^(w-1) > min(|f|, |g|) |f|_inf |g|_inf are wide enough: a
+    coefficient of the product sums at most min(|f|, |g|) products of one
+    coefficient of each side, since each term of one side meets at most
+    one term of the other at a given exponent;
+  * otherwise the schoolbook convolution.
+The test is the shorter length, not the number of term pairs: a large
+polynomial times a binomial stays schoolbook, where packing the large one
+costs more than it saves.
 ``QTPoly.terms`` is the rational view, for output and for readers outside
 this module: an ``int`` where a coefficient is integral and a
 ``Fraction`` where it is not, so the wire format and memo keys read the
@@ -33,21 +50,29 @@ and skip normalization altogether, and so is a product with an int or
 Fraction constant, which scales the numerator alone.
 
 Specialization at polynomial values (t = 1, q = t = 1, t = 1 + r)
-substitutes into the numerator and the denominator as QTPolys, one row of
-equal t-exponent at a time, and reduces the quotient once; Laurent values
+substitutes into the numerator and the denominator as QTPolys and reduces
+the quotient once.  At one-term integer values (t = 1, q = t = 1, q
+itself) each term maps to one term; at others (t = 1 + r) the
+substitution runs one row of equal t-exponent at a time.  Laurent values
 such as t = 1/q evaluate each term in the field (QTPoly.subs).
-QTPoly.div_binomial divides exactly by a binomial q^a - t^b, row by row
-in the t-exponent, or reports that the division leaves a remainder; it
-takes no gcd.
+QTPoly.div_binomials divides exactly by a multiset of binomials
+q^a - t^b on one dense form, row by row in the t-exponent, each factor
+as long as it leaves no remainder, and reports how many times each one
+divided; it takes no gcd.
 
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import itemgetter, sub
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class PoleError(ArithmeticError):
@@ -115,6 +140,80 @@ def _div_rows(rows, a, b):
         if rows[j] != pad + (quo[j] if j < len(quo) else [0] * w):
             return None
     return quo
+
+
+#: products whose shorter factor has at least this many terms are packed
+_KRONECKER_MIN = 8
+#: signed array typecodes by item size in bytes
+_SLOT_CODES = {array(code).itemsize: code for code in "bhiq"}
+
+
+def _slot_bias(width, slots):
+    """The int whose slots of width bytes each hold 2^(8 width - 1)."""
+    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * slots, "little")
+
+
+def _pack(t, stride, width, slots):
+    """The int dict t at t = X, q = X^stride, X = 2^(8 width): the sum of
+    c 2^(8 width (i stride + j)) over its terms c q^i t^j.
+
+    Each coefficient is written into its slot in two's complement; U, the
+    slots read as one unsigned int, is the sum of (c mod 2^w) 2^(w k), and
+    flipping the top bit of every slot (the xor with the bias B) maps
+    c mod 2^w to c + 2^(w-1), so (U xor B) - B is the signed sum.
+    """
+    code = _SLOT_CODES.get(width)
+    if code:
+        arr = array(code, [0]) * slots
+        for (i, j), c in t.items():
+            arr[i * stride + j] = c
+        if _BIG_ENDIAN:
+            arr.byteswap()
+        raw = arr.tobytes()
+    else:
+        raw = bytearray(slots * width)
+        for (i, j), c in t.items():
+            k = (i * stride + j) * width
+            raw[k:k + width] = c.to_bytes(width, "little", signed=True)
+    bias = _slot_bias(width, slots)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _kronecker(f, g):
+    """The product of the int dicts f and g by Kronecker substitution.
+
+    With K = deg_t f + deg_t g + 1, the exponent (i, j) of the product is
+    slot i K + j, one slot per exponent.  A coefficient of the product is
+    a sum of at most min(|f|, |g|) products of one coefficient of each, so
+    slots of w bits with 2^(w-1) > min(|f|, |g|) |f|_inf |g|_inf hold
+    each one as a symmetric digit.  The two packed ints are multiplied
+    once; adding the bias 2^(w-1) to every slot makes each slot
+    nonnegative and below 2^w, so no slot carries into the next, and the
+    xor with the bias leaves each coefficient in two's complement.
+    """
+    tf, tg = max(map(itemgetter(1), f)), max(map(itemgetter(1), g))
+    qf, qg = max(map(itemgetter(0), f)), max(map(itemgetter(0), g))
+    bound = min(len(f), len(g)) * max(map(abs, f.values())) * max(map(abs, g.values()))
+    width = (bound.bit_length() + 8) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    stride = tf + tg + 1
+    slots = (qf + qg) * stride + tf + tg + 1
+    bias = _slot_bias(width, slots)
+    prod = _pack(f, stride, width, qf * stride + tf + 1) * _pack(g, stride, width, qg * stride + tg + 1)
+    raw = ((prod + bias) ^ bias).to_bytes(slots * width, "little")
+    code = _SLOT_CODES.get(width)
+    if code:
+        arr = array(code, raw)
+        if _BIG_ENDIAN:
+            arr.byteswap()
+        return {divmod(k, stride): c for k, c in enumerate(arr) if c}
+    out = {}
+    for k in range(slots):
+        c = int.from_bytes(raw[k * width:(k + 1) * width], "little", signed=True)
+        if c:
+            out[divmod(k, stride)] = c
+    return out
 
 
 def _power(cache, base, n):
@@ -225,14 +324,26 @@ class QTPoly:
                     return QTPoly()
                 return self._times(other.numerator, other.denominator)
             return self._times(other) if other else QTPoly()
-        out = {}
-        get = out.get
-        t2 = other._t.items()
-        for (a1, b1), c1 in self._t.items():
-            for (a2, b2), c2 in t2:
-                e = (a1 + a2, b1 + b2)
-                out[e] = get(e, 0) + c1 * c2
-        return _reduced({e: c for e, c in out.items() if c}, self._d * other._d)
+        small, large = (self, other) if len(self._t) <= len(other._t) else (other, self)
+        t1, t2 = small._t, large._t
+        if len(t1) >= _KRONECKER_MIN:
+            out = _kronecker(t1, t2)
+        elif len(t1) == 1:
+            # a one-term factor shifts and scales: no merge, no zero
+            ((a1, b1), c1), = t1.items()
+            if c1 == 1 == small._d and not a1 and not b1:
+                return large
+            out = {(a + a1, b + b1): c * c1 for (a, b), c in t2.items()}
+        else:
+            out = {}
+            get = out.get
+            t2 = t2.items()
+            for (a1, b1), c1 in t1.items():
+                for (a2, b2), c2 in t2:
+                    e = (a1 + a2, b1 + b2)
+                    out[e] = get(e, 0) + c1 * c2
+            out = {e: c for e, c in out.items() if c}
+        return _reduced(out, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -260,43 +371,71 @@ class QTPoly:
     def const(self):
         return _ratio(self._t.get((0, 0), 0), self._d)
 
-    def div_binomial(self, a, b):
-        """The exact quotient self / (q^a - t^b), or None when the division
-        leaves a remainder.  a, b >= 0, not both 0.
+    def div_binomials(self, factors):
+        """(quotient, divided): self divided by q^a - t^b up to k times for
+        each (a, b) -> k of the mapping factors, in its order, each factor
+        as long as the division is exact; divided is the Counter of the
+        factors that divided.  a, b >= 0, not both 0.
 
-        q^a - t^b vanishes at q = t = 1, so a nonzero coefficient sum is
-        a remainder at once.  Otherwise the division runs over dense rows
-        of equal t-exponent (see _div_rows); for b = 0 the roles of q and
-        t are swapped, since q^a - 1 = -(q'^0 - t'^a) with q' = t, t' = q.
-        The quotient keeps the denominator: q^a - t^b has content 1, so by
-        Gauss's lemma the quotient has the content of self.
+        All the divisions run on one dense form: rows of equal t-exponent,
+        each a list over the q-exponents (see _div_rows).  For b = 0 the
+        rows are transposed, so that they run over the t-exponents, since
+        q^a - 1 = -(q'^0 - t'^a) with q' = t, t' = q.  q^a - t^b vanishes
+        at q = t = 1, so a nonzero coefficient sum is a remainder at once.
+        Each quotient keeps the denominator: q^a - t^b has content 1, so by
+        Gauss's lemma it has the content of self.
         """
+        divided = Counter()
         terms = self._t
         if not terms:
-            return QTPoly()
-        if sum(terms.values()):
-            return None
-        swap = not b
-        if swap:
-            a, b = 0, a
-            terms = {(j, i): c for (i, j), c in terms.items()}
+            divided.update(factors)
+            return self, divided
+        total = sum(terms.values())
+        if total:
+            return self, divided
         width = 1 + max(map(itemgetter(0), terms))
         rows = [[0] * width for _ in range(1 + max(map(itemgetter(1), terms)))]
         for (i, j), c in terms.items():
             rows[j][i] = c
-        quo = _div_rows(rows, a, b)
-        if quo is None:
-            return None
-        if swap:
-            out = {(j, i): -c for j, row in enumerate(quo) for i, c in enumerate(row) if c}
+        swapped, sign = False, 1
+        for (a, b), k in factors.items():
+            for _ in range(k):
+                if total:
+                    break
+                if swapped != (not b):
+                    rows, swapped = [list(col) for col in zip(*rows)], not swapped
+                quo = _div_rows(rows, 0, a) if swapped else _div_rows(rows, a, b)
+                if quo is None:
+                    break
+                rows, total = quo, sum(map(sum, quo))
+                divided[a, b] += 1
+                if swapped:
+                    sign = -sign
+        if not divided:
+            return self, divided
+        if swapped:
+            out = {(i, j): sign * c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
         else:
-            out = {(i, j): c for j, row in enumerate(quo) for i, c in enumerate(row) if c}
-        return _poly(out, self._d)
+            out = {(i, j): sign * c for j, row in enumerate(rows) for i, c in enumerate(row) if c}
+        return _poly(out, self._d), divided
 
     def subs_poly(self, vq, vt):
-        """self(vq, vt) for QTPoly values: each row of equal t-exponent is
-        evaluated at vq over the common denominator of its powers of vq,
-        then multiplied by vt to that exponent."""
+        """self(vq, vt) for QTPoly values.
+
+        When vq and vt are one-term integer monomials (t = 1, q = t = 1, q
+        itself), each term maps to one term.  Otherwise each row of equal
+        t-exponent is evaluated at vq over the common denominator of its
+        powers of vq, then multiplied by vt to that exponent.
+        """
+        if len(vq._t) == 1 == len(vt._t) and vq._d == 1 == vt._d:
+            ((qq, qt), cq), = vq._t.items()
+            ((tq, tt), ct), = vt._t.items()
+            acc = {}
+            get = acc.get
+            for (i, j), c in self._t.items():
+                e = (i * qq + j * tq, i * qt + j * tt)
+                acc[e] = get(e, 0) + c * cq ** i * ct ** j
+            return _reduced({e: c for e, c in acc.items() if c}, self._d)
         pow_q, pow_t = [QTPoly(1)], [QTPoly(1)]
         rows = {}
         for (eq, et), c in self._t.items():

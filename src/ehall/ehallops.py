@@ -15,9 +15,9 @@ shares.  One dict holds all columns, keyed by (op, basis, lambda), where
 op is a bracket-tree node or ("theta", a, b); a commutator column applies
 each child through its own columns.  Its division by M is exact
 polynomial division: each coefficient's numerator is divided by 1 - q and
-then by 1 - t, which keeps it reduced over the same denominator; a
-numerator that leaves a remainder is multiplied by 1/M in the field
-instead.
+by 1 - t on one dense form, which keeps it reduced over the same
+denominator; a numerator that leaves a remainder is multiplied by 1/M in
+the field instead.
 
 Theta columns follow the nabla shear (Bergeron-Garsia-Leven-Xin,
 arXiv:1404.4616): conjugating by nabla sends Q_(m,n) to Q_(m+n,n) and
@@ -49,6 +49,8 @@ from .symfun import Alphabet, SymFun, mul, plethys, sum_columns
 CALIBRATION_VERSION = "ehall-ops-1"
 
 _M_INV = QT_M.inverse()
+#: M = -(q^1 - t^0)(q^0 - t^1), as the factors of QTPoly.div_binomials
+_M_FACTORS = {(1, 0): 1, (0, 1): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +196,8 @@ def _over_m(f: SymFun) -> SymFun:
     """
     out = {}
     for lam, c in f.terms.items():
-        quo = c.num.div_binomial(1, 0)
-        if quo is not None:
-            quo = quo.div_binomial(0, 1)
-        out[lam] = c * _M_INV if quo is None else QTScalar._raw(-quo, c.den)
+        quo, divided = c.num.div_binomials(_M_FACTORS)
+        out[lam] = QTScalar._raw(-quo, c.den) if divided == _M_FACTORS else c * _M_INV
     return SymFun._raw(f.basis, out)
 
 

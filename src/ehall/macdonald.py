@@ -154,12 +154,15 @@ def _star_norm_factors(mu):
 
 
 def _times_binomials(p: QTPoly, factors) -> QTPoly:
-    """p times the product of q^a - t^b over the multiset factors."""
+    """p times the product of q^a - t^b over the multiset factors.  The
+    binomials are multiplied first, so that p, often the largest factor,
+    takes part in one product only."""
+    prod = QTPoly(1)
     for (a, b), k in factors.items():
         binomial = QTPoly({(a, 0): 1, (0, b): -1})
         for _ in range(k):
-            p = p * binomial
-    return p
+            prod = prod * binomial
+    return p * prod
 
 
 def _star_norm(mu) -> QTScalar:
@@ -252,14 +255,8 @@ def _bar(c: QTScalar) -> QTScalar:
 def _cancel(num: QTPoly, den: Counter, factors) -> QTPoly:
     """num divided by the factors q^a - t^b in the multiset factors that
     divide it; each one divided out is removed from den in place."""
-    for (a, b), k in list(factors.items()):
-        for _ in range(k):
-            quo = num.div_binomial(a, b)
-            if quo is None:
-                break
-            num = quo
-            den[a, b] -= 1
-    den += Counter()  # drop the zero counts
+    num, divided = num.div_binomials(factors)
+    den -= divided
     return num
 
 
@@ -324,9 +321,8 @@ def _nabla_column(lam: tuple) -> SymFun:
         if not terms:
             continue
         num, den = reduce(_add_fractions, terms)
-        for a, b in den.elements():
-            num = num.div_binomial(a, b)
-            assert num is not None, "nabla column with a non-polynomial coefficient"
+        num, divided = num.div_binomials(den)
+        assert divided == den, "nabla column with a non-polynomial coefficient"
         if num:
             out[nu] = QTScalar._raw(num, QTPoly(1))
     return SymFun._raw("s", out)

@@ -32,6 +32,12 @@ def qt(num, den=1):
                     den if isinstance(den, QTPoly) else QTPoly(den))
 
 
+def _div(p, a, b):
+    """p / (q^a - t^b), or None when the division leaves a remainder."""
+    quo, divided = p.div_binomials({(a, b): 1})
+    return quo if divided else None
+
+
 # small random rational functions: numerator and denominator from a pool of
 # sparse polynomials in q, t with integer or rational coefficients
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -153,7 +159,7 @@ def test_equal_values_by_different_routes_are_identical():
         + QTPoly({e: Fraction(2, 3), (1, 0): Fraction(3, 2)}),
         QTPoly({e: Fraction(5, 6), (1, 0): 2, (0, 0): Fraction(1, 4)})
         - QTPoly({e: Fraction(-1, 6), (0, 0): Fraction(1, 4)}),
-        (QTPoly({e: 1, (1, 0): 2}) * QTPoly({(1, 0): 1, (0, 1): -1})).div_binomial(1, 1),
+        _div(QTPoly({e: 1, (1, 0): 2}) * QTPoly({(1, 0): 1, (0, 1): -1}), 1, 1),
     ]
     for group in (halves, integral):
         for p in group:
@@ -360,6 +366,116 @@ def test_laurent_sum_cancels_monomial_content():
     assert x + z == QTScalar(QTPoly(1), QTPoly({(0, 2): 1}))
 
 
+# -- the product kernel: one-term, schoolbook and packed products -----------
+# _ref_mul, the schoolbook convolution over Fractions, is the oracle.
+
+wide_coeffs = st.one_of(st.integers(-4, 4), st.integers(-2**20, 2**20),
+                        st.integers(2**64, 2**70), st.integers(-2**70, -2**64)).filter(bool)
+wide_exponents = st.tuples(st.integers(0, 30), st.integers(0, 6))
+
+
+@st.composite
+def sized_polys(draw):
+    """1, 7, 8 or 9 terms with q-exponents up to 30, coefficients of every
+    slot width and above 2^64 of both signs, over a denominator."""
+    n = draw(st.sampled_from([1, 7, 8, 9]))
+    ints = draw(st.dictionaries(wide_exponents, wide_coeffs, min_size=n, max_size=n))
+    d = draw(st.sampled_from([1, 1, 2, 6, 35]))
+    return QTPoly({e: Fraction(c, d) for e, c in ints.items()})
+
+
+def _schoolbook(f, g):
+    return {e: c for e, c in _ref_mul(f.terms, g.terms).items() if c}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sized_polys(), sized_polys())
+def test_products_match_schoolbook(f, g):
+    want = _schoolbook(f, g)
+    for prod in (f * g, g * f):
+        assert prod.terms == want
+        _assert_stored_canonical(prod)
+    # sums of products that cancel to zero
+    assert f * g - g * f == QTPoly() and not (f * g + f * (-g))._t
+
+
+def test_products_take_the_packed_path_from_8_terms(monkeypatch):
+    packed, calls = kernel._kronecker, []
+
+    def record(f, g):
+        calls.append((len(f), len(g)))
+        return packed(f, g)
+
+    monkeypatch.setattr(kernel, "_kronecker", record)
+
+    def poly(n):
+        return QTPoly({(i, i % 3): (-1) ** i * (i + 1) for i in range(n)})
+
+    for n1, n2 in [(7, 9), (9, 7), (8, 8), (8, 30), (30, 9), (1, 30), (30, 1), (2, 30)]:
+        f, g = poly(n1), poly(n2)
+        assert (f * g).terms == _schoolbook(f, g)
+    assert calls == [(8, 8), (8, 30), (9, 30)]
+
+
+def test_product_by_one_is_the_other_factor():
+    f = QTPoly({(1, 2): Fraction(1, 3), (0, 0): 2})
+    assert QTPoly(1) * f is f and f * QTPoly(1) is f
+    # other one-term factors, 1 shifted or over a denominator among them
+    for m in (QTPoly(-1), QTPoly(Fraction(1, 2)), QTPoly({(1, 0): 1}), QTPoly({(0, 1): 1})):
+        for prod in (m * f, f * m):
+            assert prod.terms == _schoolbook(m, f)
+            _assert_stored_canonical(prod)
+
+
+def test_packed_products_cancel_inside():
+    # (1 + q + ... + q^9)(1 - q)(1 + t + ... + t^7) = (1 - q^10)(1 + ... + t^7):
+    # every coefficient but those of q^0 and q^10 cancels
+    f = QTPoly({(i, 0): 1 for i in range(10)})
+    g = QTPoly({(i, j): 1 - 2 * i for i in (0, 1) for j in range(8)})
+    assert (f * g).terms == {(i, j): 1 - i // 5 for i in (0, 10) for j in range(8)}
+    # (q - t)(sum of 8 terms) times (q + t)(sum of 9 terms), with a denominator
+    h = QTPoly({(i, 7 - i): Fraction(1, 3) for i in range(8)}) * QTPoly({(1, 0): 1, (0, 1): -1})
+    k = QTPoly({(2 * i, i): Fraction(i - 4, 2) or 1 for i in range(9)}) * QTPoly({(1, 0): 1, (0, 1): 1})
+    assert (h * k).terms == _schoolbook(h, k) and (h * k)._d == 6
+
+
+@pytest.mark.parametrize("c1, c2", [
+    (3, 5), (-3, 5), (4, 4), (-4, 4),              # 1 byte: |120| < 2^7 <= 128
+    (2**14, 2**14 - 1), (-2**14, 2**14 - 1),       # 4 bytes, near 2^31
+    (2**30, 2**30 - 1), (-2**30, 2**30 - 1),       # 8 bytes, near 2^63
+    (2**30, 2**30), (2**70, -2**70),               # wider than 8 bytes
+])
+def test_packed_slots_hold_the_bound(c1, c2):
+    # in (c1 sum q^i)(c2 sum q^i) over i < 8 the coefficient of q^7 sums 8
+    # products: it is the slot-width bound 8 |c1| |c2| itself, with its sign
+    f = QTPoly({(i, 0): c1 for i in range(8)})
+    g = QTPoly({(i, 0): c2 for i in range(8)})
+    prod = f * g
+    assert prod.terms == {(k, 0): c1 * c2 * (8 - abs(k - 7)) for k in range(15)}
+    _assert_stored_canonical(prod)
+
+
+def test_kernel_heavy_outputs_match_recorded_digests():
+    # to_json() digests recorded before the shape dispatch of QTPoly.__mul__:
+    # Theta_(1,2) s_lam for lam |- 3 and nabla^(+-1) s_lam for lam |- 6
+    import hashlib
+    import json
+
+    from ehall.ehallops import theta
+    from ehall.macdonald import nabla
+    from ehall.shapes import partitions_of
+    from ehall.symfun import s_
+
+    def digest(outputs):
+        h = hashlib.sha256()
+        for f in outputs:
+            h.update(json.dumps(f.to_json(), sort_keys=True).encode())
+        return h.hexdigest()[:16]
+
+    assert digest(theta(1, 2, s_(lam)) for lam in partitions_of(3)) == "b9811bc0f7d7cda7"
+    assert digest(nabla(s_(lam), p) for p in (1, -1) for lam in partitions_of(6)) == "b17f64b9f98e70ad"
+
+
 # -- exact division by q^a - t^b ---------------------------------------------
 
 ONE_MINUS_Q = QTPoly({(0, 0): 1, (1, 0): -1})
@@ -370,21 +486,21 @@ ONE_MINUS_T = QTPoly({(0, 0): 1, (0, 1): -1})
 @given(polys)
 def test_div_one_minus_undoes_the_product(p):
     # 1 - q = -(q^1 - t^0) and 1 - t = q^0 - t^1
-    assert (p * ONE_MINUS_Q).div_binomial(1, 0) == -p
-    assert (p * ONE_MINUS_T).div_binomial(0, 1) == p
-    quo = -(p * M_POLY).div_binomial(1, 0)
+    assert _div(p * ONE_MINUS_Q, 1, 0) == -p
+    assert _div(p * ONE_MINUS_T, 0, 1) == p
+    quo = -_div(p * M_POLY, 1, 0)
     assert quo == p * ONE_MINUS_T
-    assert quo.div_binomial(0, 1) == p
-    _assert_int_or_proper_fraction(quo.div_binomial(0, 1))
+    assert _div(quo, 0, 1) == p
+    _assert_int_or_proper_fraction(_div(quo, 0, 1))
 
 
 def test_div_one_minus_reports_inexact():
     q, t = QTPoly.monomial(1, 1, 0), QTPoly.monomial(1, 0, 1)
     for p in [QTPoly(1), q, QTPoly(1) - q + t, ONE_MINUS_Q * t + QTPoly(1)]:
-        assert p.div_binomial(1, 0) is None, p
-        assert p.div_binomial(0, 1) is None, p
+        assert _div(p, 1, 0) is None, p
+        assert _div(p, 0, 1) is None, p
     # one row exact, another not
-    assert (ONE_MINUS_Q + t * t).div_binomial(1, 0) is None
+    assert _div(ONE_MINUS_Q + t * t, 1, 0) is None
 
 
 binomial_exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
@@ -395,12 +511,12 @@ binomial_exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
 def test_div_binomial_undoes_the_product(p, ab):
     a, b = ab
     prod = p * QTPoly({(a, 0): 1, (0, b): -1})
-    quo = prod.div_binomial(a, b)
+    quo = _div(prod, a, b)
     assert quo == p
     _assert_int_or_proper_fraction(quo)
     # q^a - t^b vanishes at q = t = 1, and prod + c does not when c != 0
     for c in (1, -3, Fraction(1, 2)):
-        assert (prod + QTPoly(c)).div_binomial(a, b) is None
+        assert _div(prod + QTPoly(c), a, b) is None
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -416,10 +532,45 @@ def test_div_binomial_none_means_a_remainder(p, ab, cd):
     R, q, t = ring("q,t", QQ)
     big = R.from_dict(dict(prod.terms)) if prod else R.zero
     _, rem = big.div([q**a - t**b])
-    quo = prod.div_binomial(a, b)
+    quo = _div(prod, a, b)
     assert (quo is None) == bool(rem)
     if quo is not None:
         assert quo * QTPoly({(a, 0): 1, (0, b): -1}) == prod
+
+
+small_binomials = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(polys, st.lists(small_binomials, max_size=4),
+       st.dictionaries(small_binomials, st.integers(1, 3), min_size=1, max_size=4))
+def test_div_binomials_match_division_one_factor_at_a_time(p, planted, factors):
+    # the multiset division against sympy's, one factor at a time in the
+    # order of factors, each while it leaves no remainder; the planted
+    # binomials (from the same pool) make some of them divide, and pools
+    # with b = 0 and b > 0 make the dense form change orientation
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    prod = p
+    for a, b in planted:
+        prod = prod * QTPoly({(a, 0): 1, (0, b): -1})
+    R, q, t = ring("q,t", QQ)
+    cur = R.from_dict(dict(prod.terms)) if prod else R.zero
+    want = {}
+    for (a, b), k in factors.items():
+        for _ in range(k):
+            if cur:
+                [quo], rem = cur.div([q**a - t**b])
+                if rem:
+                    break
+                cur = quo
+            want[a, b] = want.get((a, b), 0) + 1
+    got, divided = prod.div_binomials(factors)
+    assert dict(divided) == want
+    assert got == QTPoly({e: Fraction(int(c.numerator), int(c.denominator)) for e, c in cur.items()})
+    _assert_stored_canonical(got)
+    _assert_int_or_proper_fraction(got)
 
 
 # -- specialization: polynomial substitution against the QTPoly.subs route --
@@ -435,9 +586,14 @@ def _specialize_by_subs(x, bind):
     return x.num.subs(vq, vt) / den
 
 
-_POLY_BINDINGS = [{"t": QT_ONE}, {"q": QT_ONE, "t": QT_ONE}, {"t": QT_ONE + QT_T},
-                  {"q": QT_T, "t": QTScalar(Fraction(2, 3))},
-                  {"q": QT_T * Fraction(1, 2) + QT_ONE}]
+# integer monomials (t = 1, q = t = 1, q -> -2q with t -> 3, q -> t^2 with
+# t -> -q, q itself) take the monomial path of QTPoly.subs_poly
+_MONOMIAL_BINDINGS = [{"t": QT_ONE}, {"q": QT_ONE, "t": QT_ONE},
+                      {"q": QT_Q * -2, "t": QTScalar(3)}, {"q": QT_T * QT_T, "t": -QT_Q},
+                      {"q": QT_Q}]
+_POLY_BINDINGS = _MONOMIAL_BINDINGS + [
+    {"t": QT_ONE + QT_T}, {"q": QT_T, "t": QTScalar(Fraction(2, 3))},
+    {"q": QT_T * Fraction(1, 2) + QT_ONE}]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -454,6 +610,22 @@ def test_polynomial_specialization_matches_subs_route(a, b, mono):
                 assert str(got.value) == str(exc)
                 continue
             assert x.specialize(bind).to_json() == want.to_json(), (x, bind)
+
+
+def test_monomial_bindings_build_no_powers(monkeypatch):
+    x = QTScalar(QTPoly({(3, 1): 2, (0, 2): -1, (1, 0): Fraction(1, 2)}), QTPoly({(2, 0): 1, (0, 1): 3}))
+    want = [_specialize_by_subs(x, bind) for bind in _MONOMIAL_BINDINGS]
+
+    def no_power(*args):
+        raise AssertionError("powers built for a monomial binding")
+
+    monkeypatch.setattr(kernel, "_power", no_power)
+    assert [x.specialize(bind).to_json() for bind in _MONOMIAL_BINDINGS] == [y.to_json() for y in want]
+    # q -> -2q, t -> 3 sends q^2/2 - q t/6 to 2q^2 + q: integral again
+    p = QTPoly({(2, 0): Fraction(1, 2), (1, 1): Fraction(-1, 6)})
+    value = p.subs_poly(QTPoly({(1, 0): -2}), QTPoly(3))
+    _assert_stored_canonical(value)
+    assert value.terms == {(2, 0): 2, (1, 0): 1}
 
 
 def test_polynomial_specialization_pole_message():
