@@ -19,14 +19,16 @@ by 1 - t on one dense form, which keeps it reduced over the same
 denominator; a numerator that leaves a remainder is multiplied by 1/M in
 the field instead.
 
-Theta columns follow the nabla shear (Bergeron-Garsia-Leven-Xin,
+Theta follows the nabla shear (Bergeron-Garsia-Leven-Xin,
 arXiv:1404.4616): conjugating by nabla sends Q_(m,n) to Q_(m+n,n) and
 fixes 1, so Theta_(a,b)(f)(1) = nabla Theta_(a-b,b)(f)(1), and
-Theta_(0,1)(f)(1) = f.  A ("theta", a, b) column with a >= b is nabla of
-the stored (a-b, b) column, the (0, 1) column is the basis element
-itself, and only columns with a < b go through Q_(m,n).  Those are built
-from q-basis prefix columns: the Q_(a mu_i, b mu_i) commute (same
-reference), so Theta(q_mu)(1) = Q_(a mu_1, b mu_1) Theta(q_(mu_2, ...))(1),
+Theta_(0,1)(f)(1) = f.  For a >= b, theta applies nabla^(a // b) to the
+whole of Theta_(a mod b, b)(f)(1), through the stored Schur columns of
+nabla, so only ("theta", a, b) columns with a < b are stored.  The
+(0, 1) column is the basis element itself, and the others go through
+Q_(m,n).  Those are built from q-basis prefix columns: the
+Q_(a mu_i, b mu_i) commute (same reference), so
+Theta(q_mu)(1) = Q_(a mu_1, b mu_1) Theta(q_(mu_2, ...))(1),
 the column at q_() is 1, and one stored q-basis column serves every mu
 that extends it; a column in any other basis is the weighted sum of the
 q-basis columns over the q_mu expansion of its basis element.  Theta
@@ -174,8 +176,6 @@ def _column(op, basis: str, lam: tuple) -> SymFun:
             col = _over_m(lr - rl)
         elif op == ("theta", 0, 1):
             col = unit.convert("p")
-        elif op[1] >= op[2]:
-            col = nabla(_column(("theta", op[1] - op[2], op[2]), basis, lam)).convert("p")
         elif basis != "q":
             col = _apply(op, symfun.expand_in_q(unit))
         elif not lam:
@@ -224,13 +224,13 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
     a < 0 the operator is transported along nabla:
     Theta_(a,b) = nabla^(-1) Theta_(a+b,b) nabla.
 
-    With g = 1 and a >= 0 the result is sum_lambda f[lambda] times the
-    stored column of ("theta", a, b) at lambda, Theta_(a,b)(basis element
-    lambda)(1).  For a >= b that column is nabla^(a // b) of the
-    (a mod b, b) column, one nabla per stored step, so Theta_(a,1)(f)(1)
-    is nabla^a f and Theta_(-1,1)(f)(1) is nabla^(-1) f; for a < b it is
-    a sum of q-basis prefix columns.  An explicit g is applied to the
-    whole of f directly.
+    With g = 1 and a >= b the result is nabla^(a // b) of
+    Theta_(a mod b, b)(f)(1), in the s basis, so Theta_(a,1)(f)(1) is
+    nabla^a f and Theta_(-1,1)(f)(1) is nabla^(-1) f.  With g = 1 and
+    0 <= a < b it is sum_lambda f[lambda] times the stored column of
+    ("theta", a, b) at lambda, Theta_(a,b)(basis element lambda)(1), a
+    sum of q-basis prefix columns.  An explicit g is applied to the whole
+    of f directly.
     """
     if b < 1:
         raise ValueError("theta needs b >= 1")
@@ -238,6 +238,8 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
         return nabla(theta(a + b, b, f, None if g is None else nabla(g)), power=-1)
     if g is not None:
         return _theta_direct(a, b, f, g)
+    if a >= b:
+        return nabla(theta(a % b, b, f), a // b)
     return _apply(("theta", a, b), f)
 
 

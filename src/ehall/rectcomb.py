@@ -13,7 +13,13 @@ chain of primitive segments (the (m,n) path model of Bergeron-Garsia-
 Leven-Xin, arXiv:1404.4616), and the labels of a parking function depend
 on the path only through its riser composition.  Such objects skip the
 checks of the DyckPath and ParkingFun constructors, which still validate
-every object built from outside.
+every object built from outside.  The path enumerators count (risers,
+area) straight off the words and build no DyckPath.  Each label sequence
+comes with its record, the reader of ParkingFun.word() and the descent
+composition, built once per sequence and paired with it once per riser
+composition.  A ParkingFun carries its record in a hidden slot, outside
+the dataclass fields, so equality, hashing and repr see only
+(path, labels), and word() and descent_comp look nothing up.
 """
 
 from __future__ import annotations
@@ -50,8 +56,11 @@ class DyckPath:
                 raise ValueError(f"word {w} crosses the diagonal at position {k}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ParkingFun:
+    # _record is _label_record(labels), a slot but not a field, so ==,
+    # hash and repr see (path, labels) alone
+    __slots__ = ("path", "labels", "_record")
     path: DyckPath
     labels: tuple  # labels[k-1] is the label of the south step at height k-1
 
@@ -64,27 +73,31 @@ class ParkingFun:
         for k in range(1, self.path.n):
             if w[k] == w[k - 1] and labels[k] < labels[k - 1]:
                 raise ValueError("labels must increase up each column")
+        object.__setattr__(self, "_record", _label_record(labels))
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, which sets the record
+        return ParkingFun, (self.path, self.labels)
 
     def word(self):
         """w_i = column of the step labeled i (the displayed form)."""
-        return _label_data(self.labels)[0](self.path.word)
+        return self._record[0](self.path.word)
+
+
+# the slot descriptors' setters, for objects built valid by the enumerators:
+# they skip the constructors' checks and the frozen dataclasses' __setattr__
+_set_m, _set_n, _set_word = DyckPath.m.__set__, DyckPath.n.__set__, DyckPath.word.__set__
+_set_pf_path, _set_labels = ParkingFun.path.__set__, ParkingFun.labels.__set__
+_set_record = ParkingFun._record.__set__
 
 
 def _path(m: int, n: int, word: tuple) -> DyckPath:
     """A DyckPath from a word built valid, without DyckPath's checks."""
     p = object.__new__(DyckPath)
-    object.__setattr__(p, "m", m)
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "word", word)
+    _set_m(p, m)
+    _set_n(p, n)
+    _set_word(p, word)
     return p
-
-
-def _parking_fun(p: DyckPath, labels: tuple) -> ParkingFun:
-    """A ParkingFun from labels built valid for p, without ParkingFun's checks."""
-    pf = object.__new__(ParkingFun)
-    object.__setattr__(pf, "path", p)
-    object.__setattr__(pf, "labels", labels)
-    return pf
 
 
 def staircase(m: int, n: int) -> DyckPath:
@@ -117,17 +130,8 @@ def _primitive_words(a: int, b: int, c: int, shift: int):
     return _words(ceilings)
 
 
-def enumerate_paths(m: int, n: int, returns_at=None):
-    """All (m,n)-Dyck paths in lexicographic word order.
-
-    With returns_at, a composition alpha of d = gcd(m,n), only the paths
-    whose interior-return composition equals alpha (their returns are at the
-    heights b(alpha_1 + ... + alpha_i), i < len(alpha), with (a, b) =
-    (m, n)/d); any other returns_at raises ValueError.  Such a path is a
-    chain of primitive (a alpha_i, b alpha_i) segments, segment i shifted
-    right by a(alpha_1 + ... + alpha_(i-1)), and the chains are taken with
-    the first segment outermost, which is lexicographic order.
-    """
+def _path_words(m: int, n: int, returns_at):
+    """The words of enumerate_paths(m, n, returns_at), in the same order."""
     if returns_at is not None:
         returns_at = tuple(returns_at)
         d = gcd(m, n)
@@ -144,18 +148,32 @@ def enumerate_paths(m: int, n: int, returns_at=None):
             segment = _primitive_words(a, b, part, shift)
             words = [w + s for w in words for s in segment]
             shift += a * part
-    return [_path(m, n, w) for w in words]
+    return words
+
+
+def enumerate_paths(m: int, n: int, returns_at=None):
+    """All (m,n)-Dyck paths in lexicographic word order.
+
+    With returns_at, a composition alpha of d = gcd(m,n), only the paths
+    whose interior-return composition equals alpha (their returns are at the
+    heights b(alpha_1 + ... + alpha_i), i < len(alpha), with (a, b) =
+    (m, n)/d); any other returns_at raises ValueError.  Such a path is a
+    chain of primitive (a alpha_i, b alpha_i) segments, segment i shifted
+    right by a(alpha_1 + ... + alpha_(i-1)), and the chains are taken with
+    the first segment outermost, which is lexicographic order.
+    """
+    return [_path(m, n, w) for w in _path_words(m, n, returns_at)]
 
 
 def area(p: DyckPath) -> int:
     return sum((k - 1) * p.m // p.n - a for k, a in enumerate(p.word, start=1))
 
 
-def riser_comp(p: DyckPath):
+def _risers(word: tuple):
     """Multiplicities of the word's entries, in increasing entry order."""
     out = []
     prev = None
-    for a in p.word:
+    for a in word:
         if out and a == prev:
             out[-1] += 1
         else:
@@ -164,12 +182,18 @@ def riser_comp(p: DyckPath):
     return tuple(out)
 
 
+def riser_comp(p: DyckPath):
+    """Multiplicities of the word's entries, in increasing entry order."""
+    return _risers(p.word)
+
+
 def path_enumerator(m: int, n: int, returns_at=None) -> SymFun:
-    """sum over paths of q^area * e_(riser composition)."""
-    paths = enumerate_paths(m, n, returns_at)
+    """sum over paths of q^area * e_(riser composition), counted off the
+    words of enumerate_paths without building the paths."""
     top = sum(k * m // n for k in range(n))  # the staircase's word sum
     return symfun.e_q_counts(Counter(
-        (tuple(sorted(riser_comp(p), reverse=True)), top - sum(p.word)) for p in paths
+        (tuple(sorted(_risers(w), reverse=True)), top - sum(w))
+        for w in _path_words(m, n, returns_at)
     ))
 
 
@@ -216,7 +240,8 @@ def bizley(a: int, b: int, d: int) -> SymFun:
 @lru_cache(maxsize=128)
 def _labelings(risers: tuple):
     """The label sequences that increase up each column of a path with
-    riser composition risers, in lexicographic order.
+    riser composition risers, in lexicographic order, each paired with its
+    record (_label_record).
 
     The labels are filled in depth first, one south step at a time, trying
     values in increasing order; a step directly above another in the same
@@ -243,7 +268,7 @@ def _labelings(risers: tuple):
                 used[v] = False
 
     fill(0)
-    return tuple(out)
+    return tuple((labs, _label_record(labs)) for labs in out)
 
 
 def parking(p: DyckPath):
@@ -251,20 +276,28 @@ def parking(p: DyckPath):
 
     Only label sequences that increase up each column are built: n!/prod(r_i!)
     of them for riser composition r, never the n! permutations, and once per
-    composition (_labelings).
+    composition (_labelings), with their records.
     """
-    return [_parking_fun(p, labels) for labels in _labelings(riser_comp(p))]
+    out = []
+    for labels, record in _labelings(riser_comp(p)):
+        pf = object.__new__(ParkingFun)
+        _set_pf_path(pf, p)
+        _set_labels(pf, labels)
+        _set_record(pf, record)
+        out.append(pf)
+    return out
 
 
 @lru_cache(maxsize=8192)
-def _label_data(labels: tuple):
+def _label_record(labels: tuple):
     """(reader, descent composition) of a label sequence, from the heights:
     heights[i] is the height of the step labeled i+1 (the inverse
     permutation).  reader(word) is the tuple of word[heights[i]] (the
     ParkingFun's word()), and the composition of n has a part ending at
     each i with heights[i] > heights[i-1].
 
-    Cached by label sequence, a permutation of 1..n: 8192 entries hold
+    Cached by label sequence, a permutation of 1..n, so the riser
+    compositions that share a sequence share its record: 8192 entries hold
     every permutation of n <= 7.
     """
     n = len(labels)
@@ -295,4 +328,4 @@ def descent_comp(pf: ParkingFun):
     labels on different diagonals; switching to that reading would change
     the compositions returned here.
     """
-    return _label_data(pf.labels)[1]
+    return pf._record[1]

@@ -311,6 +311,10 @@ class SymFun:
     def __eq__(self, other):
         if not isinstance(other, SymFun):
             return NotImplemented
+        if self.basis == other.basis:
+            # a basis change is a bijection and terms are canonical
+            # (partition keys, nonzero reduced QTScalars): compare as stored
+            return self.terms == other.terms
         return self.convert("p").terms == other.convert("p").terms
 
     def __hash__(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ehall import ehallops, shapes, symfun
+from ehall import ehallops, macdonald, shapes, symfun
 from ehall.coeffs import QT_M, QT_ONE, QT_Q, QT_T, QTScalar
 from ehall.ehallops import (
     apply_D,
@@ -184,12 +184,13 @@ def test_theta_negative_a_columns_match_explicit_g():
 
 
 def test_theta_column_cache_reused_across_scalar_multiples():
+    # Theta_(1,1)(f)(1) is nabla f, applied through the stored nabla columns
     f = SymFun("s", {(2, 1): QT_ONE, (1,): QT_Q})
     first = theta(1, 1, f)
-    assert all((("theta", 1, 1), "s", mu) in ehallops._apply_memo for mu in f.terms)
-    before = len(ehallops._apply_memo)
+    assert all((1, mu) in macdonald._columns for mu in f.terms)
+    before = len(macdonald._columns), len(ehallops._apply_memo)
     again = theta(1, 1, f.scale(_ONE_OVER_1_MINUS_Q))
-    assert len(ehallops._apply_memo) == before  # no new column
+    assert (len(macdonald._columns), len(ehallops._apply_memo)) == before  # no new column
     assert again == first.scale(_ONE_OVER_1_MINUS_Q)
 
 

@@ -1,5 +1,9 @@
 """Rectangular Dyck paths, parking functions, and enumerators."""
 
+import copy
+import dataclasses
+import pickle
+from collections import Counter
 from itertools import permutations
 from math import comb, gcd
 
@@ -186,12 +190,27 @@ def test_paths_match_the_filtering_oracle():
 
 
 def test_generated_objects_pass_the_validating_constructors():
+    # the validating constructor builds the same record as parking: the
+    # same word() and descents, and the same (path, labels) value
     for m in range(1, 8):
         for n in range(1, 7):
             for p in enumerate_paths(m, n):
                 assert type(p.word) is tuple and DyckPath(m, n, p.word) == p
                 for pf in parking(p):
-                    assert type(pf.labels) is tuple and ParkingFun(p, pf.labels) == pf
+                    built = ParkingFun(p, pf.labels)
+                    assert type(pf.labels) is tuple and built == pf
+                    assert hash(built) == hash(pf) and repr(built) == repr(pf)
+                    assert built.word() == pf.word()
+                    assert descent_comp(built) == descent_comp(pf)
+    assert [f.name for f in dataclasses.fields(ParkingFun)] == ["path", "labels"]
+
+
+def test_parking_fun_copies_keep_the_record():
+    pf = parking(DyckPath(5, 3, (0, 1, 3)))[4]
+    for twin in (copy.copy(pf), copy.deepcopy(pf), pickle.loads(pickle.dumps(pf)),
+                 dataclasses.replace(pf)):
+        assert twin == pf and twin.word() == pf.word() == (1, 3, 0)
+        assert descent_comp(twin) == descent_comp(pf) == (1, 2)
 
 
 def test_parking_fun_labels_are_a_tuple():
@@ -246,6 +265,21 @@ def test_enumerator_against_paths():
     f = path_enumerator(3, 2)
     assert f == rectcomb.SymFun(
         "e", {(2,): QTScalar.qt_monomial(1, 1, 0), (1, 1): QT_ONE})
+
+
+def test_path_enumerator_sums_over_the_paths():
+    # sum of q^area e_(risers) over the DyckPaths, with the risers counted
+    # from the word here, for every returns_at composition of gcd(m, n)
+    for m in range(1, 9):
+        for n in range(1, 9):
+            for alpha in [None, *shapes.compositions_of(gcd(m, n))]:
+                terms = {}
+                for p in enumerate_paths(m, n, alpha):
+                    rho = tuple(sorted(Counter(p.word).values(), reverse=True))
+                    terms[rho] = terms.get(rho, 0) + QTScalar.qt_monomial(1, area(p), 0)
+                want = rectcomb.SymFun("e", terms)
+                got = path_enumerator(m, n, alpha)
+                assert got.to_json() == want.to_json(), (m, n, alpha)
 
 
 def test_primitive_enumerator_consistency():

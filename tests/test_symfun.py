@@ -169,6 +169,42 @@ def test_plethys_whole_rejects_z_content():
         plethys_whole(e_(1), Alphabet.x_plus_m_over_z())
 
 
+#: nonzero coefficients with polynomial and binomial denominators
+_EQ_COEFFS = [QT_ONE, -QT_ONE, QTScalar(Fraction(3, 2)), QT_Q, QT_Q + QT_T,
+              QT_T * QT_Q.inverse(), (QT_ONE - QT_Q).inverse(),
+              QT_Q * (QT_ONE - QT_Q * QT_T).inverse()]
+symfun_terms = st.dictionaries(partitions, st.sampled_from(_EQ_COEFFS), max_size=4)
+
+
+def _clean(f: SymFun) -> bool:
+    """The canonical terms that same-basis equality compares as stored."""
+    return all(type(mu) is tuple and isinstance(c, QTScalar) and c for mu, c in f.terms.items())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(symfun.BASES), st.sampled_from(symfun.BASES), symfun_terms, symfun_terms)
+def test_same_basis_equality_matches_the_p_route(basis, other, t1, t2):
+    from ehall.ehallops import _over_m
+
+    f, g = SymFun(basis, t1), SymFun(basis, t2)
+    assert (f == g) == (f.convert("p").terms == g.convert("p").terms)
+    # equal pairs: built by other routes, each of which ends in _raw
+    back = f.convert(other).convert(basis)  # sum_columns, both ways
+    for h in (back, f + g - g, (f + g) + (-g), f.scale(QT_Q).scale(QT_Q.inverse())):
+        assert h.basis == basis and _clean(h)
+        assert h == f and h.terms == f.terms and hash(h) == hash(f)
+    # unequal pairs
+    for c in _EQ_COEFFS:
+        h = f + SymFun(basis, {(2, 1): c})
+        assert _clean(h) and h != f and h.convert("p").terms != f.convert("p").terms
+    # zero, in every basis
+    zero = SymFun.zero(basis)
+    for h in (f - f, f + (-f), f.scale(0), f.scale(QT_Q) - f.scale(QT_Q)):
+        assert h.terms == {} and h == zero and h == SymFun.zero(other)
+    assert (f == zero) == (not t1)
+    assert _clean(_over_m(f)) and _clean(f.convert(other)) and _clean(f + g)
+
+
 def test_json_round_trip():
     f = s_((2, 1)).scale(QT_Q * QT_T.inverse()) + e_(2).convert("s")
     assert SymFun.from_json(f.to_json()) == f
