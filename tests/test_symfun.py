@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ehall import linalg, shapes, symfun
 from ehall.coeffs import QT_ONE, QT_Q, QT_T, QTPoly, QTScalar
+from ehall.ehallops import _over_m
 from ehall.symfun import (
     Alphabet,
     SymFun,
@@ -184,8 +185,6 @@ def _clean(f: SymFun) -> bool:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(symfun.BASES), st.sampled_from(symfun.BASES), symfun_terms, symfun_terms)
 def test_same_basis_equality_matches_the_p_route(basis, other, t1, t2):
-    from ehall.ehallops import _over_m
-
     f, g = SymFun(basis, t1), SymFun(basis, t2)
     assert (f == g) == (f.convert("p").terms == g.convert("p").terms)
     # equal pairs: built by other routes, each of which ends in _raw
