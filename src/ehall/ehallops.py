@@ -2,6 +2,12 @@
 bidegree-indexed family Q_(m,n) built from nested commutators, the
 theta operators Theta_(a,b), and the composition operators C_a.
 
+D_k and C_a are plethystic substitutions with one fixed alphabet each,
+X -> X + M/z and X -> X - (t-1)/(tz), applied by symfun.plethys from the
+power sums of the alphabet, p_k[M] = (1-q^k)(1-t^k) and
+p_k[-(t-1)/t] = t^(-k) - 1; the z^(-j) part of the substitution is then
+multiplied by (-1)^(k+j) e_(k+j) for D_k and by h_(a+j) for C_a.
+
 Conventions (fixed once, validated by the test suite):
   * Q_(0,l) is multiplication by q_l and Q_(1,0) = D_0.
   * For other bidegrees, Q_(m,n) = (1/M) [Q_(k,l), Q_(m-k,n-l)] with
@@ -43,9 +49,9 @@ from functools import lru_cache
 from math import gcd
 
 from . import symfun
-from .coeffs import QT_M, QT_ONE, QTScalar
+from .coeffs import QT_M, QT_ONE, QTPoly, QTScalar
 from .macdonald import nabla
-from .symfun import Alphabet, SymFun, mul, plethys, sum_columns
+from .symfun import SymFun, mul, plethys, sum_columns
 
 #: bump when any operator convention changes, so cached results invalidate
 CALIBRATION_VERSION = "ehall-ops-1"
@@ -60,19 +66,21 @@ _M_FACTORS = {(1, 0): 1, (0, 1): 1}
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _m_power_sum(k: int) -> QTScalar:
+    """p_k[M] = (1 - q^k)(1 - t^k)."""
+    return QTScalar(QTPoly({(0, 0): 1, (k, 0): -1, (0, k): -1, (k, k): 1}))
+
+
 def apply_D(k: int, g: SymFun) -> SymFun:
-    """D_k g = [z^k] g[x + M/z] * sum_n e_n (-z)^n."""
-    d = g.max_degree()
-    series = plethys(g, Alphabet.x_plus_m_over_z())
+    """D_k g = [z^k] g[X + M/z] * sum_n e_n (-z)^n: the sum over j of the
+    z^(-j) part of g[X + M/z] times (-1)^(k+j) e_(k+j)."""
     out = SymFun.zero("p")
-    for j in series.exponents():
-        n = k - j
-        if n < 0 or n > k + d:
-            continue
-        term = mul(series.coeff(j), symfun.e_(n))
-        if n % 2:
-            term = -term
-        out = out + term
+    for j, part in plethys(g, _m_power_sum).items():
+        n = k + j
+        if n >= 0:
+            term = mul(SymFun._raw("p", part), symfun.e_(n))
+            out = out + (-term if n % 2 else term)
     return out
 
 
@@ -263,15 +271,19 @@ def _theta_direct(a: int, b: int, f: SymFun, g: SymFun) -> SymFun:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _c_power_sum(k: int) -> QTScalar:
+    """p_k[-(t - 1)/t] = t^(-k) - 1."""
+    return QTScalar.qt_monomial(1, 0, -k) - QT_ONE
+
+
 def c_op(a: int, f: SymFun) -> SymFun:
-    """C_a f = (-t)^(1-a) (f[x - (t-1)/(tz)] * sum_m z^m h_m) |_(z^a)."""
-    series = plethys(f, Alphabet.x_minus_tfrac_over_z())
+    """C_a f = (-t)^(1-a) (f[X - (t-1)/(tz)] * sum_m z^m h_m) |_(z^a): the
+    sum over j of the z^(-j) part of f[X - (t-1)/(tz)] times h_(a+j)."""
     out = SymFun.zero("p")
-    for j in series.exponents():
-        n = a - j
-        if n < 0:
-            continue
-        out = out + mul(series.coeff(j), symfun.h_(n))
+    for j, part in plethys(f, _c_power_sum).items():
+        if a + j >= 0:
+            out = out + mul(SymFun._raw("p", part), symfun.h_(a + j))
     return out.scale(QTScalar.qt_monomial((-1) ** (1 - a), 0, 1 - a))
 
 

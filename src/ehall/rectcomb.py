@@ -32,8 +32,7 @@ from math import gcd
 from operator import itemgetter
 
 from . import shapes, symfun
-from .coeffs import QTScalar
-from .symfun import Alphabet, SymFun, plethys_whole
+from .symfun import SymFun
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,9 +208,13 @@ def primitive_enumerator(m: int, n: int) -> SymFun:
 
 @lru_cache(maxsize=None)
 def _bizley_generator(a: int, b: int, k: int) -> SymFun:
-    """(1/a) e_(bk)[a k x], the q = t = 1 shadow of the basic operators."""
-    f = plethys_whole(symfun.e_(b * k), Alphabet.scaled(QTScalar(a * k)))
-    return f.scale(QTScalar(Fraction(1, a)))
+    """(1/a) e_(bk)[a k x], the q = t = 1 shadow of the basic operators.
+
+    p_rho[a k x] = (a k)^l(rho) p_rho, so each p coordinate of e_(bk) is
+    scaled by (a k)^l(rho) / a.
+    """
+    e = symfun.e_(b * k).convert("p")
+    return SymFun._raw("p", {rho: c * Fraction((a * k) ** len(rho), a) for rho, c in e.terms.items()})
 
 
 def bizley(a: int, b: int, d: int) -> SymFun:

@@ -5,9 +5,10 @@ QTScalar; sums of mixed degrees are allowed and all operations work
 degreewise.  Supported bases: m, e, h, p, s, and the q-basis built from
 the alternating hook-Schur combinations q_d.
 
-The pivot basis for conversions is p: e and h reach it through Newton's
-identities, s through Murnaghan-Nakayama characters, m through counting
-the ways to merge the parts of mu into the rows of lam, and the q-basis
+The pivot basis for conversions is p: h reaches it through Newton's
+identities, e through the h tables under omega, s through
+Murnaghan-Nakayama characters, m through counting the ways to merge the
+parts of mu into the rows of lam, and the q-basis
 through the integer h<->p tables times a factor in qt, from
 q_d = (-qt)^(1-d) h_d[X(1-qt)] / (1-qt).  Each direction of each basis
 change is a table of columns, the expansion of one basis element, cached
@@ -18,13 +19,19 @@ Every linear map in the package (basis changes here, the operator
 columns of ehallops, the nabla columns of macdonald) is applied by
 sum_columns: the coordinate-weighted sum of its columns, accumulated in
 one dict.
+
+The plethysm of the package's operators is the substitution
+X -> X + E/z for one fixed alphabet E: plethys expands f[X + E/z] by
+powers of z from its p coordinates, p_k[X + E/z] = p_k + p_k[E] z^(-k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import comb
 
 # linalg has no caller here; the import keeps ehall.linalg loaded for
 # perfbench/tracer.py, which wraps linalg.inverse and linalg.nullspace by
@@ -47,26 +54,13 @@ def _merge(d1, d2):
     for mu, c1 in d1.items():
         for nu, c2 in d2.items():
             key = shapes.union_parts(mu, nu)
-            s = out.get(key, 0) + c1 * c2
+            s = out.get(key)
+            s = c1 * c2 if s is None else s + c1 * c2
             if s:
                 out[key] = s
             else:
-                out.pop(key, None)
+                del out[key]
     return out
-
-
-@lru_cache(maxsize=None)
-def _e_in_p(k: int):
-    """e_k in the p basis: k e_k = sum_i (-1)^(i-1) p_i e_(k-i)."""
-    if k == 0:
-        return {(): Fraction(1)}
-    out = {}
-    for i in range(1, k + 1):
-        sign = Fraction((-1) ** (i - 1), k)
-        for mu, c in _e_in_p(k - i).items():
-            key = shapes.union_parts(mu, (i,))
-            out[key] = out.get(key, 0) + sign * c
-    return {mu: c for mu, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -79,21 +73,6 @@ def _h_in_p(k: int):
         for mu, c in _h_in_p(k - i).items():
             key = shapes.union_parts(mu, (i,))
             out[key] = out.get(key, 0) + Fraction(c, k)
-    return {mu: c for mu, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _p_in_e(k: int):
-    """p_k in the e basis, by inverting Newton's identity."""
-    if k == 1:
-        return {(1,): Fraction(1)}
-    sign = Fraction((-1) ** (k - 1))
-    out = {(k,): sign * k}
-    for i in range(1, k):
-        coef = -sign * Fraction((-1) ** (i - 1))
-        for mu, c in _p_in_e(i).items():
-            key = shapes.union_parts(mu, (k - i,))
-            out[key] = out.get(key, 0) + coef * c
     return {mu: c for mu, c in out.items() if c}
 
 
@@ -115,9 +94,17 @@ def _gen_prod(kind: str, mu: tuple):
     """Expansion of a product of generators indexed by mu.
 
     kind is 'e>p', 'h>p', 'p>e' or 'p>h'; the result lives in the target
-    (multiplicative) basis, with Fraction coefficients.
+    (multiplicative) basis, with Fraction coefficients.  The e tables are
+    the h tables under omega, which swaps h_nu and e_nu and signs p_rho by
+    (-1)^(|rho| - l(rho)).
     """
-    table = {"e>p": _e_in_p, "h>p": _h_in_p, "p>e": _p_in_e, "p>h": _p_in_h}[kind]
+    d = sum(mu)
+    if kind == "e>p":
+        return {rho: (-1) ** (d - len(rho)) * c for rho, c in _gen_prod("h>p", mu).items()}
+    if kind == "p>e":
+        sign = (-1) ** (d - len(mu))
+        return {nu: sign * c for nu, c in _gen_prod("p>h", mu).items()}
+    table = _h_in_p if kind == "h>p" else _p_in_h
     out = {(): Fraction(1)}
     for part in mu:
         out = _merge(out, table(part))
@@ -395,17 +382,7 @@ def e_q_counts(counts) -> SymFun:
 def mul(f: SymFun, g: SymFun) -> SymFun:
     """Exact product; free merge in a multiplicative basis, else via p."""
     basis = f.basis if f.basis == g.basis and f.basis in "ehpq" else "p"
-    a, b = f.convert(basis), g.convert(basis)
-    out = {}
-    for mu, c1 in a.terms.items():
-        for nu, c2 in b.terms.items():
-            key = shapes.union_parts(mu, nu)
-            s = out.get(key, QT_ZERO) + c1 * c2
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return SymFun(basis, out)
+    return SymFun._raw(basis, _merge(f.convert(basis).terms, g.convert(basis).terms))
 
 
 def sum_columns(basis: str, coords, column) -> SymFun:
@@ -557,92 +534,34 @@ def specialize_coeffs(f: SymFun, bind) -> SymFun:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A formal plethystic argument: base_scale * x plus signed Laurent
-    monomials in q, t, z.
+def plethys(f: SymFun, extra) -> dict:
+    """f[X + E/z] by powers of z, from p_k[X + E/z] = p_k + extra(k) z^(-k).
 
-    Evaluation is defined on power sums:
-      p_k[A] = base_scale * p_k(x) + sum_extras sign * mono^k,
-    where base_scale is a constant (a constant alphabet multiplies power
-    sums linearly).
+    extra(k) is the QTScalar p_k[E].  Expanding each factor of p_mu over the
+    sub-multisets S of the parts of mu, with s_k of the m_k parts equal to k,
+    p_mu[X + E/z] = sum_S prod_k C(m_k, s_k) extra(k)^(s_k) p_(mu - S) z^(-|S|).
+    The result maps j to the p coordinates of the z^(-j) part, a dict
+    rho -> QTScalar; a power of z whose part cancels is left out.
     """
-
-    base_scale: QTScalar
-    extras: tuple = ()  # entries (sign, eq, et, ez)
-
-    def __post_init__(self):
-        if not self.base_scale.is_constant():
-            raise ValueError(f"alphabet scale {self.base_scale!r} is not a constant")
-
-    @staticmethod
-    def scaled(c):
-        if not isinstance(c, QTScalar):
-            c = QTScalar(c)
-        return Alphabet(c)
-
-    @staticmethod
-    def x_plus_m_over_z():
-        """x + M/z with M = (1-t)(1-q)."""
-        return Alphabet(QT_ONE, ((1, 0, 0, -1), (-1, 0, 1, -1), (-1, 1, 0, -1), (1, 1, 1, -1)))
-
-    @staticmethod
-    def x_minus_tfrac_over_z():
-        """x - (t-1)/(tz), the argument of the composition operators."""
-        return Alphabet(QT_ONE, ((1, 0, -1, -1), (-1, 0, 0, -1)))
-
-    def power_sum_image(self, k: int):
-        """p_k[A] as a list of (z-exponent, SymFun in p basis)."""
-        out = []
-        if self.base_scale:
-            out.append((0, SymFun("p", {(k,): self.base_scale})))
-        for sign, eq, et, ez in self.extras:
-            mono = QTScalar.qt_monomial(sign, eq * k, et * k)
-            out.append((ez * k, SymFun("p", {(): mono})))
-        return out
-
-
-class ZLaurent:
-    """A finite Laurent series in z with SymFun coefficients."""
-
-    def __init__(self, coeffs):
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
-
-    def coeff(self, k) -> SymFun:
-        if k in self.coeffs:
-            return self.coeffs[k]
-        return SymFun.zero("p")
-
-    def exponents(self):
-        return sorted(self.coeffs)
-
-
-def plethys(f: SymFun, alphabet: Alphabet) -> ZLaurent:
-    """f[A] as a Laurent series in z (exact and finite for these alphabets)."""
-    p = f.convert("p")
-    total = {}
-    for mu, c in p.terms.items():
-        series = {0: SymFun("p", {(): QT_ONE})}
-        for part in mu:
-            image = alphabet.power_sum_image(part)
-            nxt = {}
-            for z1, g1 in series.items():
-                for z2, g2 in image:
-                    z = z1 + z2
-                    prod = mul(g1, g2)
-                    nxt[z] = nxt[z] + prod if z in nxt else prod
-            series = nxt
-        for z, g in series.items():
-            g = g.scale(c)
-            total[z] = total[z] + g if z in total else g
-    return ZLaurent(total)
-
-
-def plethys_whole(f: SymFun, alphabet: Alphabet) -> SymFun:
-    """f[A] for an alphabet with no z content (single z^0 coefficient)."""
-    series = plethys(f, alphabet)
-    assert series.exponents() in ([], [0]), "alphabet has z content"
-    return series.coeff(0)
+    out = {}
+    for mu, c in f.convert("p").terms.items():
+        mult = Counter(mu)
+        for take in product(*(range(m + 1) for m in mult.values())):
+            coef, rest, j = c, [], 0
+            for (k, m), s in zip(mult.items(), take):
+                if s:
+                    coef = coef * (comb(m, s) * extra(k) ** s)
+                    j += k * s
+                rest += [k] * (m - s)
+            part = out.setdefault(j, {})
+            rho = tuple(rest)
+            total = part.get(rho)
+            total = coef if total is None else total + coef
+            if total:
+                part[rho] = total
+            else:
+                del part[rho]
+    return {j: part for j, part in out.items() if part}
 
 
 # ---------------------------------------------------------------------------

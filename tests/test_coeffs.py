@@ -475,6 +475,18 @@ def test_kernel_heavy_outputs_match_recorded_digests():
     assert digest(theta(1, 2, s_(lam)) for lam in partitions_of(3)) == "b9811bc0f7d7cda7"
     assert digest(nabla(s_(lam), p) for p in (1, -1) for lam in partitions_of(6)) == "b17f64b9f98e70ad"
 
+    # recorded before plethysm became a power-sum substitution: D_k and C_a
+    # on every unit of degree <= 4 in every basis, and the Bizley generators
+    from ehall.ehallops import apply_D, c_op
+    from ehall.rectcomb import _bizley_generator
+    from ehall.symfun import SymFun
+
+    units = [SymFun(b, {lam: 1}) for b in "mehpsq" for d in range(5) for lam in partitions_of(d)]
+    assert digest(apply_D(k, u) for k in range(-3, 4) for u in units) == "edc609aef57cb615"
+    assert digest(c_op(a, u) for a in range(-2, 5) for u in units) == "99a750f22f19c1d2"
+    assert digest(_bizley_generator(a, b, k) for a in range(1, 5) for b in range(1, 5)
+                  for k in range(1, 4)) == "88fd69c302787fe9"
+
 
 # -- exact division by q^a - t^b ---------------------------------------------
 

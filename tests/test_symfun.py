@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ehall import linalg, shapes, symfun
 from ehall.coeffs import QT_ONE, QT_Q, QT_T, QTPoly, QTScalar
-from ehall.ehallops import _over_m
+from ehall.ehallops import _m_power_sum, _over_m
+from ehall.rectcomb import _bizley_generator
 from ehall.symfun import (
-    Alphabet,
     SymFun,
     e_,
     expand_in_q,
@@ -22,7 +22,7 @@ from ehall.symfun import (
     mul,
     omega,
     p_,
-    plethys_whole,
+    plethys,
     q_d,
     q_mu,
     s_,
@@ -139,35 +139,28 @@ def test_hook_schur():
 
 
 def test_plethysm_power_sum_rules():
-    # p_k[x + M/z]: z^0 part is p_k, z^(-k) part is M(q^k,t^k)
-    img = Alphabet.x_plus_m_over_z().power_sum_image(2)
-    byz = {}
-    for z, f in img:
-        byz[z] = byz.get(z, SymFun.zero("p")) + f
-    assert byz[0] == p_(2)
-    m2 = byz[-2].terms[()]
+    # p_k[X + M/z] = p_k + M(q^k, t^k) z^(-k)
     want = (QT_ONE - QT_T**2) * (QT_ONE - QT_Q**2)
-    assert m2 == want
+    assert plethys(p_(2), _m_power_sum) == {0: {(2,): QT_ONE}, 2: {(): want}}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_plethysm_addition_formula(n):
+    # the alphabet of the one variable 1/z: h_n[X + 1/z] = sum_i h_(n-i) z^(-i),
+    # e_n[X + 1/z] = e_n + e_(n-1) / z
+    def one(k):
+        return QT_ONE
+
+    def parts(f, basis):
+        return {j: SymFun("p", part).convert(basis) for j, part in plethys(f, one).items()}
+
+    assert parts(h_(n), "h") == {i: h_(n - i) for i in range(n + 1)}
+    assert parts(e_(n), "e") == ({0: e_(0)} if n == 0 else {0: e_(n), 1: e_(n - 1)})
 
 
 def test_plethysm_constant_alphabet():
-    # p_k[m x] = m p_k for constant m; e_2[2x] = 2 e_2 + ... check via m-count
-    f = plethys_whole(e_(2), Alphabet.scaled(QTScalar(2)))
-    # e_2 = (p_11 - p_2)/2 -> (4 p_11 - 2 p_2)/2 = 2p_11 - p_2
-    assert f.convert("p") == SymFun(
-        "p", {(1, 1): QTScalar(2), (2,): -QT_ONE})
-
-
-@pytest.mark.parametrize("scale", [QT_Q, QT_ONE / (QT_ONE - QT_T)])
-def test_alphabet_scale_must_be_constant(scale):
-    # p_k[c x] = c p_k holds only for a constant c
-    with pytest.raises(ValueError):
-        Alphabet.scaled(scale)
-
-
-def test_plethys_whole_rejects_z_content():
-    with pytest.raises(AssertionError):
-        plethys_whole(e_(1), Alphabet.x_plus_m_over_z())
+    # p_k[2x] = 2 p_k: e_2 = (p_11 - p_2)/2 -> (4 p_11 - 2 p_2)/2 = 2p_11 - p_2
+    assert _bizley_generator(1, 1, 2) == SymFun("p", {(1, 1): QTScalar(2), (2,): -QT_ONE})
 
 
 #: nonzero coefficients with polynomial and binomial denominators
