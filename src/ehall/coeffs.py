@@ -38,9 +38,11 @@ same values as a dict of Fractions would give.
 Reduction of a QTScalar with two non-constant sides is one cofactor call,
 _cofactors, on the two int dicts, unless the denominator is a monomial:
 then only the common monomial content cancels.  _cofactors is a
-heuristic gcd in Z[q,t] (Char, Geddes and Gonnet): it evaluates q and
-then t at integers, takes math.gcd and reads the polynomial gcd back from
-the digits, checked by multiplying out; it needs no library.
+heuristic gcd in Z[q,t] (Char, Geddes and Gonnet): it evaluates q at an
+integer, takes the gcd of the two images, polynomials in t, by calling
+itself (their images are integers, whose gcd is math.gcd), and reads the
+polynomial gcd back from the digits, checked by multiplying out; it
+needs no library.
 Sums of reduced values are reduced the way Henrici adds fractions: a
 polynomial plus a fraction needs no gcd, two fractions are reduced only
 against the gcd of their denominators, and that gcd is a monomial, taken
@@ -528,61 +530,6 @@ def _digits(v, xi):
     return out
 
 
-def _value(p, x):
-    """The dense int list p (lowest degree first) at x, by Horner."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _mul_dense(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _gcd_zt(f, g):
-    """(h, cf, cg) with f = h cf and g = h cg, h a gcd in Z[t] of the
-    nonzero dense int lists f and g (lowest degree first).
-
-    The heuristic gcd of _cofactors in one variable: the contents are
-    split off, the primitive parts are evaluated at t = xi, and the
-    integer gcd of the two values and the cofactor values are read back
-    from their symmetric xi-adic digits.  The primitive part of the gcd
-    so read is accepted when it times each cofactor gives back f and g.
-    The stray factor, the gcd of the cofactors' values, divides their
-    resultant, a fixed nonzero integer, so once xi passes twice it times
-    the largest coefficient of h, cf and cg, the check holds.
-    """
-    cf, cg = gcd(*f), gcd(*g)
-    c = gcd(cf, cg)
-    f = [v // cf for v in f]
-    g = [v // cg for v in g]
-    h = [1]
-    if len(f) > 1 and len(g) > 1:
-        nf, ng = max(map(abs, f)), max(map(abs, g))
-        least = 2 * min(nf, ng) + 2
-        for xi in _points(2 * max(nf, ng) + 2):
-            ff, gg = _value(f, xi), _value(g, xi)
-            if xi < least or not ff or not gg:
-                continue
-            h = _digits(gcd(ff, gg), xi)
-            content = gcd(*h)
-            h = [v // content for v in h]
-            if len(h) == 1:
-                break
-            hv = _value(h, xi)
-            f1, g1 = _digits(ff // hv, xi), _digits(gg // hv, xi)
-            if _mul_dense(h, f1) == f and _mul_dense(h, g1) == g:
-                f, g = f1, g1
-                break
-    return ([c * v for v in h], [cf // c * v for v in f], [cg // c * v for v in g])
-
-
 def _cofactors(f, g):
     """(h, cf, cg) with f = h cf and g = h cg exactly, h a gcd in Z[q,t]
     of the nonzero int dicts f and g (exponents -> nonzero ints); the
@@ -590,11 +537,12 @@ def _cofactors(f, g):
 
     A heuristic gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
     1989).  The integer and the monomial contents are split off first.
-    Then q is evaluated at an integer xi, the two images in Z[t] take
-    their gcd H and cofactors by _gcd_zt, and each coefficient of H is
-    read back as a polynomial in q from its symmetric xi-adic digits; h
-    is the primitive part of the result, and the cofactors are read back
-    the same way.  The result is accepted when h cf == f and h cg == g.
+    Then q is evaluated at an integer xi, and the two images, int dicts in
+    one variable (_at_q), take their gcd H and cofactors by this same
+    function.  Each coefficient of H is read back as a polynomial in q
+    from its symmetric xi-adic digits; h is the primitive part of the
+    result, and the cofactors are read back the same way.  The result is
+    accepted when h cf == f and h cg == g.
     At xi >= 2 min(|f|, |g|) + 2 (max-norms) h is then the gcd: another
     common factor k would have |k(xi, t)| > xi/2, by the bound on the
     roots of f and g, yet divide the integer content taken off h, which
@@ -609,13 +557,22 @@ def _cofactors(f, g):
     an integer, and it divides a fixed integer combination of the
     coefficients of F1 and G1, which share no factor.  So it is bounded,
     and once xi passes twice that bound times the largest coefficient of
-    G, F1 and G1, every digit read back is exact and the check holds.
+    G, F1 and G1, every digit read back is exact and the check holds.  In
+    one variable the stray factor is the integer gcd(F1(xi), G1(xi)),
+    which divides the resultant Res(F1, G1), a fixed nonzero integer, at
+    every point.
+
+    The images of the recursive call are in one variable, and the image
+    of a one-variable dict is a constant, whose gcd the content split
+    alone gives: the recursion is two levels deep.
     """
     cf, cg = gcd(*f.values()), gcd(*g.values())
     fq, ft = min(map(itemgetter(0), f)), min(map(itemgetter(1), f))
     gq, gt = min(map(itemgetter(0), g)), min(map(itemgetter(1), g))
-    f = {(a - fq, b - ft): v // cf for (a, b), v in f.items()}
-    g = {(a - gq, b - gt): v // cg for (a, b), v in g.items()}
+    if cf != 1 or fq or ft:
+        f = {(a - fq, b - ft): v // cf for (a, b), v in f.items()}
+    if cg != 1 or gq or gt:
+        g = {(a - gq, b - gt): v // cg for (a, b), v in g.items()}
     h = {(0, 0): 1}
     if len(f) > 1 and len(g) > 1:
         nf, ng = max(map(abs, f.values())), max(map(abs, g.values()))
@@ -624,14 +581,14 @@ def _cofactors(f, g):
             fx, gx = _at_q(f, xi), _at_q(g, xi)
             if xi < least or not fx or not gx:
                 continue
-            hx, fx, gx = _gcd_zt(fx, gx)
+            hx, fx, gx = _cofactors(fx, gx)
             h = _from_digits(hx, xi)
             content = gcd(*h.values())
             h = {e: v // content for e, v in h.items()}
             if h == {(0, 0): 1}:
                 break
-            f1 = _from_digits([content * v for v in fx], xi)
-            g1 = _from_digits([content * v for v in gx], xi)
+            f1 = _from_digits({e: content * v for e, v in fx.items()}, xi)
+            g1 = _from_digits({e: content * v for e, v in gx.items()}, xi)
             ph = _poly(h)
             if (ph * _poly(f1))._t == f and (ph * _poly(g1))._t == g:
                 f, g = f1, g1
@@ -644,23 +601,21 @@ def _cofactors(f, g):
 
 
 def _at_q(f, xi):
-    """The int dict f at q = xi, as a dense list over the t-exponents,
-    its top entry nonzero."""
+    """The int dict f at q = xi, with each t^j moved to q^j: an int dict in
+    q alone, lowest power first."""
     powers = [1]
     for _ in range(max(map(itemgetter(0), f))):
         powers.append(powers[-1] * xi)
     out = [0] * (1 + max(map(itemgetter(1), f)))
     for (a, b), v in f.items():
         out[b] += v * powers[a]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return {(j, 0): v for j, v in enumerate(out) if v}
 
 
-def _from_digits(coeffs, xi):
+def _from_digits(image, xi):
     """The int dict whose row of t-exponent j has the symmetric xi-adic
-    digits of coeffs[j] as its coefficients, lowest power of q first."""
-    return {(i, j): d for j, v in enumerate(coeffs) for i, d in enumerate(_digits(v, xi)) if d}
+    digits of image[(j, 0)] as its coefficients, lowest power of q first."""
+    return {(i, j): d for (j, _), v in image.items() for i, d in enumerate(_digits(v, xi)) if d}
 
 
 def _monic(num: QTPoly, den: QTPoly):

@@ -30,9 +30,9 @@ arXiv:1404.4616): conjugating by nabla sends Q_(m,n) to Q_(m+n,n) and
 fixes 1, so Theta_(a,b)(f)(1) = nabla Theta_(a-b,b)(f)(1), and
 Theta_(0,1)(f)(1) = f.  For a >= b, theta applies nabla^(a // b) to the
 whole of Theta_(a mod b, b)(f)(1), through the stored Schur columns of
-nabla, so only ("theta", a, b) columns with a < b are stored.  The
-(0, 1) column is the basis element itself, and the others go through
-Q_(m,n).  Those are built from q-basis prefix columns: the
+nabla, so only ("theta", a, b) columns with a < b are stored.
+Theta_(0,1)(f)(1) is f as it is, with no column, and the others go
+through Q_(m,n).  Those are built from q-basis prefix columns: the
 Q_(a mu_i, b mu_i) commute (same reference), so
 Theta(q_mu)(1) = Q_(a mu_1, b mu_1) Theta(q_(mu_2, ...))(1),
 the column at q_() is 1, and one stored q-basis column serves every mu
@@ -182,8 +182,6 @@ def _column(op, basis: str, lam: tuple) -> SymFun:
             lr = _apply(left, _column(right, basis, lam))
             rl = _apply(right, _column(left, basis, lam))
             col = _over_m(lr - rl)
-        elif op == ("theta", 0, 1):
-            col = unit.convert("p")
         elif basis != "q":
             col = _apply(op, symfun.expand_in_q(unit))
         elif not lam:
@@ -234,7 +232,8 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
 
     With g = 1 and a >= b the result is nabla^(a // b) of
     Theta_(a mod b, b)(f)(1), in the s basis, so Theta_(a,1)(f)(1) is
-    nabla^a f and Theta_(-1,1)(f)(1) is nabla^(-1) f.  With g = 1 and
+    nabla^a f and Theta_(-1,1)(f)(1) is nabla^(-1) f.  With g = 1,
+    Theta_(0,1)(f)(1) is f, returned as it is, and for any other
     0 <= a < b it is sum_lambda f[lambda] times the stored column of
     ("theta", a, b) at lambda, Theta_(a,b)(basis element lambda)(1), a
     sum of q-basis prefix columns.  An explicit g is applied to the whole
@@ -246,6 +245,8 @@ def theta(a: int, b: int, f: SymFun, g: SymFun | None = None) -> SymFun:
         return nabla(theta(a + b, b, f, None if g is None else nabla(g)), power=-1)
     if g is not None:
         return _theta_direct(a, b, f, g)
+    if (a, b) == (0, 1):
+        return f
     if a >= b:
         return nabla(theta(a % b, b, f), a // b)
     return _apply(("theta", a, b), f)

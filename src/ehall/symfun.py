@@ -7,8 +7,8 @@ the alternating hook-Schur combinations q_d.
 
 The pivot basis for conversions is p: h reaches it through Newton's
 identities, e through the h tables under omega, s through
-Murnaghan-Nakayama characters, m through counting the ways to merge the
-parts of mu into the rows of lam, and the q-basis
+Murnaghan-Nakayama characters, m through the same h<->p tables, since m
+and h are dual for the Hall scalar product, and the q-basis
 through the integer h<->p tables times a factor in qt, from
 q_d = (-qt)^(1-d) h_d[X(1-qt)] / (1-qt).  Each direction of each basis
 change is a table of columns, the expansion of one basis element, cached
@@ -158,49 +158,20 @@ def _p_in_s(mu: tuple):
 
 
 @lru_cache(maxsize=None)
-def _p_m_matrices(d: int):
-    """(p-to-m, m-to-p) transition tables at degree d.
+def _p_in_m(mu: tuple):
+    """p_mu in the m basis: m and h are dual for the Hall scalar product,
+    so [m_lam] p_mu = <p_mu, h_lam> = z_mu [p_mu] h_lam."""
+    z = shapes.z_stat(mu)
+    return {lam: z * c for lam in shapes.partitions_of(sum(mu))
+            if (c := _gen_prod("h>p", lam).get(mu))}
 
-    The coefficient of m_lam in p_mu is the number of ways to send each
-    part of mu to a row of lam so that row i receives parts summing to
-    lam_i.  Such a lam is a coarsening of mu, so it dominates mu and comes
-    no later in partitions_of order: the table is triangular, and the
-    m-to-p table follows by forward substitution,
-    m_mu = (p_mu - sum_(lam != mu) [m_lam] p_mu * m_lam) / [m_mu] p_mu.
-    """
-    parts = shapes.partitions_of(d)
-    if d == 0:
-        return ({(): {(): Fraction(1)}}, {(): {(): Fraction(1)}})
-    placements = {}
 
-    def count(mu, rows):
-        # rows: the room left in each row of lam, sorted (rows are
-        # interchangeable for the count)
-        if not mu:
-            return 1
-        key = (mu, rows)
-        if key not in placements:
-            first, rest = mu[0], mu[1:]
-            placements[key] = sum(
-                count(rest, tuple(sorted(rows[:i] + (r - first,) + rows[i + 1:], reverse=True)))
-                for i, r in enumerate(rows)
-                if r >= first
-            )
-        return placements[key]
-
-    p2m = {}
-    for mu in parts:
-        p2m[mu] = {nu: Fraction(c) for nu in parts if (c := count(mu, nu))}
-    m2p = {}
-    for mu in parts:
-        acc = {mu: Fraction(1)}
-        for lam, c in p2m[mu].items():
-            if lam != mu:
-                for nu, v in m2p[lam].items():
-                    acc[nu] = acc.get(nu, 0) - c * v
-        diag = p2m[mu][mu]
-        m2p[mu] = {nu: acc[nu] / diag for nu in parts if acc.get(nu)}
-    return p2m, m2p
+@lru_cache(maxsize=None)
+def _m_in_p(lam: tuple):
+    """m_lam in the p basis, by the same duality:
+    [p_rho] m_lam = <m_lam, p_rho> / z_rho = [h_lam] p_rho / z_rho."""
+    return {rho: c / shapes.z_stat(rho) for rho in shapes.partitions_of(sum(lam))
+            if (c := _gen_prod("p>h", rho).get(lam))}
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +458,14 @@ _TO_P = {
     "e": lambda mu: _gen_prod("e>p", mu),
     "h": lambda mu: _gen_prod("h>p", mu),
     "s": _s_in_p,
-    "m": lambda mu: _p_m_matrices(sum(mu))[1][mu],
+    "m": _m_in_p,
     "q": _q_mu_in_p,
 }
 _FROM_P = {
     "e": lambda mu: _gen_prod("p>e", mu),
     "h": lambda mu: _gen_prod("p>h", mu),
     "s": _p_in_s,
-    "m": lambda mu: _p_m_matrices(sum(mu))[0][mu],
+    "m": _p_in_m,
     "q": _p_in_q,
 }
 

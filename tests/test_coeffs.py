@@ -487,6 +487,11 @@ def test_kernel_heavy_outputs_match_recorded_digests():
     assert digest(_bizley_generator(a, b, k) for a in range(1, 5) for b in range(1, 5)
                   for k in range(1, 4)) == "88fd69c302787fe9"
 
+    # recorded before the m tables were read off the h<->p tables: every
+    # basis change of every unit of degree <= 6
+    units = [SymFun(b, {lam: 1}) for b in "mehpsq" for d in range(7) for lam in partitions_of(d)]
+    assert digest(u.convert(c) for u in units for c in "mehpsq") == "d7bf9305725fa015"
+
 
 # -- exact division by q^a - t^b ---------------------------------------------
 
@@ -661,6 +666,13 @@ one_terms = st.dictionaries(st.tuples(exponents, exponents),
                             st.integers(min_value=-6, max_value=6).filter(bool),
                             min_size=1, max_size=1)
 int_factors = st.one_of(int_polys, int_polys, one_terms)
+# the same in q alone and in t alone
+one_variable_factors = {
+    var: st.dictionaries(exponents.map(lambda e, var=var: (e, 0) if var == "q" else (0, e)),
+                         st.integers(min_value=-4, max_value=4).filter(bool),
+                         min_size=1, max_size=4)
+    for var in "qt"
+}
 contents = st.sampled_from([1, -1, 2, -3, 6, -12, 30])
 
 
@@ -673,8 +685,11 @@ def _product(*factors):
 
 @st.composite
 def gcd_pairs(draw):
-    common = draw(int_factors)
-    return tuple(_product({(0, 0): draw(contents)}, common, draw(int_factors)) for _ in "fg")
+    # in q and t, or in q alone or t alone, one draw in four each
+    var = draw(st.sampled_from(["qt", "qt", "q", "t"]))
+    factors = int_factors if var == "qt" else one_variable_factors[var]
+    common = draw(factors)
+    return tuple(_product({(0, 0): draw(contents)}, common, draw(factors)) for _ in "fg")
 
 
 _SIDE = {(7, 0): 1, (3, 4): -5, (0, 7): 1, (0, 0): 45}
@@ -691,6 +706,20 @@ _GCD_EXAMPLES = [
     ({(3, 1): -1, (0, 0): 1}, {(0, 2): 1, (1, 0): -1}),
     # norms 1 and 45: the larger side's cofactor needs a larger point
     (_product({(0, 0): 720}, {(1, 1): 1, (0, 0): 1}), _product({(1, 1): 1, (0, 0): 1}, _SIDE)),
+    # in q alone, the images are the integers f(xi) and g(xi)
+    (_product({(0, 0): 6}, {(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): 2}),
+     _product({(0, 0): 4}, {(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): -3})),
+    # in t alone, with the common power t of the two sides
+    ({(0, 3): 1, (0, 1): -1}, {(0, 2): 3, (0, 1): 3}),
+    # a common power t^2, split off before q is evaluated; the images in
+    # Z[t] then share no power of t, since the t^0 row of the side of
+    # smaller norm has no root as large as a point tried
+    (_product({(0, 2): 1}, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 0): 2}),
+     _product({(0, 3): 2}, {(1, 0): 1, (0, 1): 1}, {(1, 1): 1, (0, 0): -1})),
+    # g(q, t) has the row (q + 1)(q - 8) at t^0, so from the point 3 on the
+    # image of g at q = 8 is t (t + 9): the second level splits off its t
+    (_product({(1, 0): 1, (0, 1): 1, (0, 0): 1}, {(0, 1): 1, (0, 0): 1}),
+     _product({(1, 0): 1, (0, 1): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): 1, (0, 0): -8})),
 ]
 
 
@@ -731,7 +760,9 @@ def test_cofactors_retry_from_point_3(pair):
     # point 3; from the bound up to its own first point 2 max(|f|, |g|) + 2
     # a cofactor's digits can be inexact (the pair with norms 1 and 45 fails
     # the check at 8 and 21 and passes at 114), and it retries.  At 2 the
-    # symmetric digits are 0 and 1 and cannot write -1.
+    # symmetric digits are 0 and 1 and cannot write -1.  _cofactors takes
+    # the gcd of its images by calling itself, so the patch reaches both
+    # levels.
     points = kernel._points
     drawn = []
 

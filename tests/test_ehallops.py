@@ -69,6 +69,16 @@ def test_theta_identity_direction():
     assert theta(0, 1, f) == f
 
 
+def test_theta_01_returns_its_seed():
+    # Theta_(0,1)(f)(1) = f: the seed itself, in its own basis, with no
+    # column stored
+    f = SymFun("m", {(3, 2, 1): QT_Q, (2,): QT_ONE})
+    before = len(ehallops._apply_memo)
+    assert theta(0, 1, f) is f
+    assert len(ehallops._apply_memo) == before
+    assert not any(key[0] == ("theta", 0, 1) for key in ehallops._apply_memo)
+
+
 def test_theta_multiplicative_on_q_mu():
     # Theta(q_mu) = prod Theta(q_(mu_i)) acting on 1
     lhs = theta(1, 1, q_mu((2, 1)))

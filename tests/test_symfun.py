@@ -229,7 +229,6 @@ def _expand_p_monomials(mu: tuple, nvars: int):
 def test_p_m_tables_match_monomial_expansion():
     for d in range(1, 7):
         parts = shapes.partitions_of(d)
-        p2m = symfun._p_m_matrices(d)[0]
         for mu in parts:
             expansion = _expand_p_monomials(mu, d)
             want = {}
@@ -237,23 +236,25 @@ def test_p_m_tables_match_monomial_expansion():
                 c = expansion.get(tuple(nu) + (0,) * (d - len(nu)))
                 if c:
                     want[nu] = c
-            assert p2m[mu] == want, (d, mu)
-            # Fraction entries keep the inversion to m2p exact
-            assert all(type(c) is Fraction for c in p2m[mu].values())
+            column = symfun._p_in_m(mu)
+            assert column == want, (d, mu)
+            # Fraction entries, as in every other table of the module
+            assert all(type(c) is Fraction for c in column.values())
 
 
 def test_m_to_p_table_matches_inverse_oracle():
-    # the m-to-p table by forward substitution against inverting the p-to-m
-    # matrix, entry for entry and in the same order
+    # the m-to-p columns, read off the h<->p tables by duality, against
+    # inverting the matrix of the p-to-m columns, entry for entry and in
+    # the same order
     for d in range(1, 9):
         parts = shapes.partitions_of(d)
-        p2m, m2p = symfun._p_m_matrices(d)
-        mat = [[p2m[mu].get(nu, Fraction(0)) for nu in parts] for mu in parts]
+        mat = [[symfun._p_in_m(mu).get(nu, Fraction(0)) for nu in parts] for mu in parts]
         inv = linalg.inverse(mat)
         for i, mu in enumerate(parts):
             want = {parts[j]: inv[i][j] for j in range(len(parts)) if inv[i][j]}
-            assert list(m2p[mu].items()) == list(want.items()), (d, mu)
-            assert all(type(c) is Fraction for c in m2p[mu].values())
+            column = symfun._m_in_p(mu)
+            assert list(column.items()) == list(want.items()), (d, mu)
+            assert all(type(c) is Fraction for c in column.values())
 
 
 # -- the q-basis tables against the hook convolution and elimination -------
