@@ -16,9 +16,10 @@ per partition; the q basis is kept as columns in both directions, with no
 per-degree matrix.
 
 Every linear map in the package (basis changes here, the operator
-columns of ehallops, the nabla columns of macdonald) is applied by
-sum_columns: the coordinate-weighted sum of its columns, accumulated in
-one dict.
+columns of ehallops, the nabla columns of macdonald, checks.bar) is
+applied by sum_columns: the coordinate-weighted sum of its columns, taken
+in integers, one int dict per output coefficient, and normalized once
+per output coefficient.
 
 The plethysm of the package's operators is the substitution
 X -> X + E/z for one fixed alphabet E: plethys expands f[X + E/z] by
@@ -31,14 +32,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 # linalg has no caller here; the import keeps ehall.linalg loaded for
 # perfbench/tracer.py, which wraps linalg.inverse and linalg.nullspace by
 # module name after importing ehall.cli and ehall.ehallops
 from . import linalg  # noqa: F401
 from . import shapes
-from .coeffs import QT_ONE, QT_ZERO, QTPoly, QTScalar
+from .coeffs import QT_ONE, QT_ZERO, QTPoly, QTScalar, _poly, _reduced
 
 BASES = "mehpsq"
 
@@ -360,19 +361,115 @@ def sum_columns(basis: str, coords, column) -> SymFun:
     """sum_lam coords[lam] * column(lam), a SymFun in basis.
 
     coords maps partitions to QTScalars and column(lam) is a dict nu ->
-    coefficient (QTScalar or Fraction): the image of the basis
-    element lam under a linear map.  The sum accumulates in one dict and
-    drops the terms that cancel, as SymFun.__add__ does.
+    coefficient (QTScalar, int or Fraction): the image of the basis
+    element lam under a linear map.  The sum is taken in integers and
+    normalized once per output coefficient, not once per (lam, nu) pair.
+
+    A product c v has the int numerator of c times that of v over the
+    product of their int denominators, and the denominator den(c) den(v).
+    When both denominators are monomials, q^a t^b, the product is added
+    into one Laurent int dict for nu, over one int denominator, shifted by
+    q^(-a) t^(-b); the dict is scaled up to the lcm when a term brings a
+    new int denominator.  In the end, with A and B the largest negative q-
+    and t-exponents left (0 if none), the value is N / q^A t^B, N the dict
+    shifted up by (A, B) over its int denominator, made coprime to it by
+    one gcd pass.  This is canonical with no cofactor call: q^A t^B is
+    monic, and a common factor of N and q^A t^B is a monomial, yet for
+    A > 0 some term of N has q-exponent 0 (the one that set A) and for
+    B > 0 some term has t-exponent 0, so q does not divide N when it
+    divides the denominator, and neither does t.
+    Products with any other denominator D are summed per (nu, D) the same
+    way, without shifts, and each sum is normalized once as a QTScalar and
+    added to nu's value, a Henrici sum.  A nu whose terms cancel is left
+    out.  The order of the terms of the result is unspecified: its
+    ==, key() and to_json() do not depend on it.
     """
-    out = {}
+    one = QT_ONE.den
+    # nu, or (nu, D) -> [int dict, int denominator, shifted, alone]: alone
+    # is the one product so far when it is 1 times a QTScalar, which is
+    # the value as it stands, shared with the column
+    mono, other = {}, {}
     for lam, c in coords.items():
+        ct, cd, cden = c.num._t, c.num._d, c.den
+        unit = c == QT_ONE
+        ca = cb = None
+        if len(cden._t) == 1:
+            (ca, cb), = cden._t
         for nu, v in column(lam).items():
-            s = out.get(nu, QT_ZERO) + c * v
-            if s:
-                out[nu] = s
+            if v.__class__ is QTScalar:
+                vt, d, vden = v.num._t, cd * v.num._d, v.den
             else:
-                out.pop(nu, None)
-    return SymFun._raw(basis, out)
+                vt, d, vden = None, cd * v.denominator, one
+            if ca is not None and len(vden._t) == 1:
+                (a, b), = vden._t
+                a, b = a + ca, b + cb
+                acc, key = mono, nu
+            else:
+                a = b = 0
+                acc, key = other, (nu, cden * vden)
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = slot = [{}, d, False, v if unit and vt is not None else None]
+            else:
+                slot[3] = None
+            m = 1
+            if slot[1] != d:
+                big = slot[1] // gcd(slot[1], d) * d
+                if big != slot[1]:
+                    up = big // slot[1]
+                    slot[0] = {e: x * up for e, x in slot[0].items()}
+                    slot[1] = big
+                m = big // d
+            if a or b:
+                slot[2] = True
+            # the product scaled by m and shifted by (-a, -b): the one term
+            # x q^i t^j times the int dict prod
+            if vt is None:
+                i, j, x, prod = -a, -b, v.numerator * m, ct
+            elif len(ct) == 1 or len(vt) == 1:
+                term, prod = (ct, vt) if len(ct) == 1 else (vt, ct)
+                ((i, j), x), = term.items()
+                i, j, x = i - a, j - b, x * m
+            else:
+                p = c.num * v.num  # ct vt is p._t times d // p._d
+                i, j, x, prod = -a, -b, m * (d // p._d), p._t
+            out = slot[0]
+            get = out.get
+            if i or j:
+                for (i2, j2), x2 in prod.items():
+                    e = (i + i2, j + j2)
+                    out[e] = get(e, 0) + x * x2
+            else:
+                # keys of prod are reused as they are, and shared
+                for e, x2 in prod.items():
+                    out[e] = get(e, 0) + x * x2
+    res = {}
+    for nu, (t, d, shifted, alone) in mono.items():
+        if alone is not None:
+            if alone:
+                res[nu] = alone
+            continue
+        t = {e: x for e, x in t.items() if x}
+        if not t:
+            continue
+        den = one
+        if shifted:
+            sa, sb = map(min, zip(*t))
+            if sa < 0 or sb < 0:
+                sa, sb = min(sa, 0), min(sb, 0)
+                t = {(i - sa, j - sb): x for (i, j), x in t.items()}
+                den = _poly({(-sa, -sb): 1})
+        res[nu] = QTScalar._raw(_reduced(t, d), den)
+    for (nu, den), (t, d, _, s) in other.items():
+        if s is None:
+            s = QTScalar(_reduced({e: x for e, x in t.items() if x}, d), den)
+        if nu in res:
+            s = res[nu] + s
+        if s:
+            res[nu] = s
+        else:
+            res.pop(nu, None)
+    return SymFun._raw(basis, res)
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,23 @@ def test_kernel_heavy_outputs_match_recorded_digests():
     units = [SymFun(b, {lam: 1}) for b in "mehpsq" for d in range(7) for lam in partitions_of(d)]
     assert digest(u.convert(c) for u in units for c in "mehpsq") == "d7bf9305725fa015"
 
+    # recorded before column sums were taken in integers: nabla^(+-1) of
+    # C_alpha(1), whose coordinates have monomial denominators, and seeds
+    # whose coordinates have monomial, binomial and constant denominators
+    from ehall.ehallops import c_alpha
+    from ehall.shapes import compositions_of
+
+    assert digest(nabla(c_alpha(al), p) for n in range(1, 6) for al in compositions_of(n)
+                  for p in (1, -1)) == "2d7ae596171c336d"
+    q, t, one = QTPoly.monomial(1, 1, 0), QTPoly.monomial(1, 0, 1), QTPoly(1)
+    w = [QTScalar(one, one - q * t), QTScalar(q * q - t, t * t * t), QTScalar(one + q, one - t * t),
+         QTScalar(3, q * t)]
+    seeds = [SymFun(b, {lam: w[i % 4] for i, lam in enumerate(partitions_of(d))})
+             for b in "mehpsq" for d in range(1, 5)]
+    assert digest([f.convert(c) for f in seeds for c in "mehpsq"]
+                  + [theta(1, 2, f) for f in seeds if f.max_degree() <= 3]
+                  + [nabla(f, p) for f in seeds for p in (1, -1)]) == "7e491ca140310134"
+
 
 # -- exact division by q^a - t^b ---------------------------------------------
 

@@ -367,3 +367,85 @@ def test_q_conversion_of_mixed_degrees_matches_the_matrix_route():
     for basis in "smp":
         assert f.convert(basis).convert("q").to_json() == want, basis
     assert expand_in_q(f).to_json() == want
+
+
+# -- sum_columns against the per-pair loop -----------------------------------
+
+
+def _ref_sum_columns(basis, coords, column):
+    """The per-pair loop that sum_columns replaced: one normalized QTScalar
+    product and one Henrici sum for every (lam, nu) pair."""
+    out = {}
+    for lam, c in coords.items():
+        for nu, v in column(lam).items():
+            s = out.get(nu, QTScalar.zero()) + c * v
+            if s:
+                out[nu] = s
+            else:
+                out.pop(nu, None)
+    return SymFun._raw(basis, out)
+
+
+_one, _q, _t = QTPoly(1), QTPoly.monomial(1, 1, 0), QTPoly.monomial(1, 0, 1)
+#: denominators: 1, monomials, and others, some with a monomial factor
+_DENS = [_one, _q, _t * _t, _q * _t ** 3, _one - _q * _t, _one + _q,
+         _q - _t * _t, _t * (_one - _q), (_one - _t) ** 2]
+#: numerators up to 12 terms, so that some products are packed; the
+#: coefficients are ints, or rationals over 2, 3 and 6
+_nums = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 1, 2, 3, 6])),
+    min_size=1, max_size=12,
+).map(QTPoly)
+_scalars = st.builds(QTScalar, _nums, st.sampled_from(_DENS))
+_coords = st.one_of(st.just(QT_ONE), _scalars)
+_entries = st.one_of(st.integers(-5, 5).filter(bool),
+                     st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6)),
+                     _scalars)
+_parts = st.sampled_from([mu for d in range(4) for mu in shapes.partitions_of(d)])
+
+
+def _assert_sums_match(coords, columns):
+    got = symfun.sum_columns("s", coords, columns.__getitem__)
+    want = _ref_sum_columns("s", coords, columns.__getitem__)
+    assert got.terms == want.terms
+    for c in got.terms.values():
+        assert c and c == QTScalar(c.num, c.den)
+    return got
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(_parts, _coords, min_size=1, max_size=4),
+       st.lists(st.dictionaries(_parts, _entries, max_size=5), min_size=4, max_size=4),
+       st.data())
+def test_sum_columns_matches_the_per_pair_loop(coords, cols, data):
+    columns = {lam: cols[k] for k, lam in enumerate(coords)}
+    total = _assert_sums_match(coords, columns).terms
+    if not total:
+        return
+    # one nu cancels to zero, and another cancels and then comes back:
+    # the cancelling entry has the denominator of the whole sum, so it
+    # meets the others across the two routes
+    gone, back = data.draw(st.sampled_from(sorted(total))), data.draw(_parts)
+    coords, columns = dict(coords), dict(columns)
+    coords[(9,)], columns[(9,)] = QT_ONE, {gone: -total[gone]}
+    if back in total and back != gone:
+        columns[(9,)][back] = -total[back]
+        coords[(8,)], columns[(8,)] = data.draw(_coords), {back: data.draw(_entries)}
+    got = _assert_sums_match(coords, columns).terms
+    assert gone not in got and (back == gone or back not in total or back in got)
+
+
+def test_sum_columns_cancellation_within_one_route():
+    laurent = QTScalar(_q * _q - _t, _t ** 3)
+    coords = {(1,): laurent, (2,): -laurent, (1, 1): QTScalar(_one + _q, _q)}
+    columns = {(1,): {(3,): Fraction(1, 2), (2, 1): QT_ONE},
+               (2,): {(3,): Fraction(1, 2), (2, 1): QT_ONE},
+               (1, 1): {(2, 1): QTScalar(Fraction(2, 3))}}
+    got = _assert_sums_match(coords, columns).terms
+    assert list(got) == [(2, 1)]
+    assert got[(2, 1)] == QTScalar((_one + _q) * Fraction(2, 3), _q)
+    # the sum's negative exponents cancel: no shift is left
+    coords = {(1,): QTScalar(_one + _q, _q * _t), (2,): QTScalar(-_one, _q * _t)}
+    columns = {(1,): {(1,): 1}, (2,): {(1,): 1}}
+    assert _assert_sums_match(coords, columns).terms == {(1,): QTScalar(1, _t)}
