@@ -371,10 +371,7 @@ def _cmd_ct(args):
 
 
 def _cmd_check(args):
-    names = sorted(checks.CHECKS) if args.name == "all" else [args.name]
-    verdicts = []
-    for n in names:
-        verdicts.extend(checks.run_check(n, args.grid))
+    verdicts = checks.run_all(args.grid, None if args.name == "all" else [args.name])
     report = checks.report_json(verdicts)
     if args.report:
         with open(args.report, "w") as fh:

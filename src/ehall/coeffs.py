@@ -51,12 +51,14 @@ products of two polynomials (denominator 1) are canonical as they stand
 and skip normalization altogether, and so is a product with an int or
 Fraction constant, which scales the numerator alone.
 
-Specialization at polynomial values (t = 1, q = t = 1, t = 1 + r)
-substitutes into the numerator and the denominator as QTPolys and reduces
-the quotient once.  At one-term integer values (t = 1, q = t = 1, q
-itself) each term maps to one term; at others (t = 1 + r) the
-substitution runs one row of equal t-exponent at a time.  Laurent values
-such as t = 1/q evaluate each term in the field (QTPoly.subs).
+Specialization has one route.  With vq = a/b and vt = c/d, a polynomial
+P(vq, vt) is P^ / (b^m d^n), P^ the sum of x a^i b^(m-i) c^j d^(n-j) over
+the terms x q^i t^j, so the numerator and the denominator are substituted
+as QTPolys and the quotient is reduced once; a polynomial at polynomial
+values is P^ as it stands.  When a, b, c, d are one-term integer
+monomials (t = 1, q = t = 1, t = 1/q, the bar q, t -> 1/q, 1/t) each term
+maps to one term; at others (t = 1 + r) the substitution runs one row of
+equal t-exponent at a time.
 QTPoly.div_binomials divides exactly by a multiset of binomials
 q^a - t^b on one dense form, row by row in the t-exponent, each factor
 as long as it leaves no remainder, and reports how many times each one
@@ -422,53 +424,56 @@ class QTPoly:
         return _poly(out, self._d), divided
 
     def subs_poly(self, vq, vt):
-        """self(vq, vt) for QTPoly values.
+        """(P, m, n) with self(vq, vt) = P / (b^m d^n), for QTScalar values
+        vq = a/b and vt = c/d: P is the sum of x a^i b^(m-i) c^j d^(n-j)
+        over the terms x q^i t^j, m the largest i (0 when b = 1) and n the
+        largest j (0 when d = 1).
 
-        When vq and vt are one-term integer monomials (t = 1, q = t = 1, q
-        itself), each term maps to one term.  Otherwise each row of equal
-        t-exponent is evaluated at vq over the common denominator of its
-        powers of vq, then multiplied by vt to that exponent.
+        When a, b, c, d are one-term integer monomials (t = 1, q = t = 1,
+        q itself, t = 1/q, the bar q, t -> 1/q, 1/t), each term maps to one
+        term.
+        Otherwise each row of equal t-exponent j is summed over the common
+        denominator of its a^i b^(m-i), then multiplied by c^j d^(n-j).
         """
-        if len(vq._t) == 1 == len(vt._t) and vq._d == 1 == vt._d:
-            ((qq, qt), cq), = vq._t.items()
-            ((tq, tt), ct), = vt._t.items()
+        a, b, c, d = vq.num, vq.den, vt.num, vt.den
+        t = self._t
+        m = max(map(itemgetter(0), t)) if t and not _is_one(b) else 0
+        n = max(map(itemgetter(1), t)) if t and not _is_one(d) else 0
+        if len(a._t) == 1 == len(c._t) == len(b._t) == len(d._t) and a._d == 1 == c._d:
+            # b and d are monic: their one term has coefficient 1
+            ((aq, at), ca), = a._t.items()
+            ((cq, ct), cc), = c._t.items()
+            (bq, bt), = b._t
+            (dq, dt), = d._t
+            base_q, base_t = m * bq + n * dq, m * bt + n * dt
+            aq, at, cq, ct = aq - bq, at - bt, cq - dq, ct - dt
             acc = {}
             get = acc.get
-            for (i, j), c in self._t.items():
-                e = (i * qq + j * tq, i * qt + j * tt)
-                acc[e] = get(e, 0) + c * cq ** i * ct ** j
-            return _reduced({e: c for e, c in acc.items() if c}, self._d)
-        pow_q, pow_t = [QTPoly(1)], [QTPoly(1)]
+            for (i, j), x in t.items():
+                e = (base_q + i * aq + j * cq, base_t + i * at + j * ct)
+                acc[e] = get(e, 0) + x * ca ** i * cc ** j
+            return _reduced({e: x for e, x in acc.items() if x}, self._d), m, n
+        pow_a, pow_b, pow_c, pow_d = [QTPoly(1)], [QTPoly(1)], [QTPoly(1)], [QTPoly(1)]
         rows = {}
-        for (eq, et), c in self._t.items():
-            rows.setdefault(et, []).append((_power(pow_q, vq, eq), c))
+        for (i, j), x in t.items():
+            p = _power(pow_a, a, i)
+            rows.setdefault(j, []).append((p * _power(pow_b, b, m - i) if m else p, x))
         out = QTPoly()
-        for et, row in rows.items():
-            d = lcm(*[p._d for p, _ in row])
+        for j, row in rows.items():
+            den = lcm(*[p._d for p, _ in row])
             acc = {}
             get = acc.get
-            for p, c in row:
-                c *= d // p._d
+            for p, x in row:
+                x *= den // p._d
                 for e, v in p._t.items():
-                    acc[e] = get(e, 0) + c * v
-            val = _reduced({e: c for e, c in acc.items() if c}, d)
-            if et:
-                val = val * _power(pow_t, vt, et)
+                    acc[e] = get(e, 0) + x * v
+            val = _reduced({e: x for e, x in acc.items() if x}, den)
+            if j:
+                val = val * _power(pow_c, c, j)
+            if n:
+                val = val * _power(pow_d, d, n - j)
             out = out + val
-        return out if self._d == 1 else _reduced(out._t, out._d * self._d)
-
-    def subs(self, vq, vt):
-        """Evaluate at QTScalar values vq, vt."""
-        pow_q, pow_t = [QTScalar.one()], [QTScalar.one()]
-        total = QTScalar.zero()
-        for (eq, et), c in self.terms.items():
-            term = QTScalar.from_fraction(c)
-            if eq:
-                term = term * _power(pow_q, vq, eq)
-            if et:
-                term = term * _power(pow_t, vt, et)
-            total = total + term
-        return total
+        return (out if self._d == 1 else _reduced(out._t, out._d * self._d)), m, n
 
     def _monomial_content(self):
         eq = min(e[0] for e in self._t)
@@ -815,15 +820,20 @@ class QTScalar:
             vq = QTScalar(vq)
         if not isinstance(vt, QTScalar):
             vt = QTScalar(vt)
-        if _is_one(vq.den) and _is_one(vt.den):
-            den = self.den.subs_poly(vq.num, vt.num)
-            if not den:
-                raise PoleError(f"denominator vanishes under {bind}")
-            return QTScalar(self.num.subs_poly(vq.num, vt.num), den)
-        den = self.den.subs(vq, vt)
+        num, m1, n1 = self.num.subs_poly(vq, vt)
+        if _is_one(self.den) and _is_one(vq.den) and _is_one(vt.den):
+            # a polynomial at polynomial values
+            return QTScalar._raw(num, self.den)
+        den, m2, n2 = self.den.subs_poly(vq, vt)
         if not den:
             raise PoleError(f"denominator vanishes under {bind}")
-        return self.num.subs(vq, vt) / den
+        # self(vq, vt) = num b^m2 d^n2 / (den b^m1 d^n1), vq = a/b, vt = c/d
+        m, n = m2 - m1, n2 - n1
+        if m or n:
+            b, d = vq.den, vt.den
+            num = num * b ** max(m, 0) * d ** max(n, 0)
+            den = den * b ** max(-m, 0) * d ** max(-n, 0)
+        return QTScalar(num, den)
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -72,16 +72,20 @@ def _m_power_sum(k: int) -> QTScalar:
     return QTScalar(QTPoly({(0, 0): 1, (k, 0): -1, (0, k): -1, (k, k): 1}))
 
 
+def _z_parts_times(f: SymFun, power_sum, k: int, generator) -> SymFun:
+    """The sum over j of the z^(-j) part of f[X + A/z] times generator(k + j),
+    over k + j >= 0, where power_sum(i) = p_i[A]."""
+    out = SymFun.zero("p")
+    for j, part in plethys(f, power_sum).items():
+        if k + j >= 0:
+            out = out + mul(SymFun._raw("p", part), generator(k + j))
+    return out
+
+
 def apply_D(k: int, g: SymFun) -> SymFun:
     """D_k g = [z^k] g[X + M/z] * sum_n e_n (-z)^n: the sum over j of the
     z^(-j) part of g[X + M/z] times (-1)^(k+j) e_(k+j)."""
-    out = SymFun.zero("p")
-    for j, part in plethys(g, _m_power_sum).items():
-        n = k + j
-        if n >= 0:
-            term = mul(SymFun._raw("p", part), symfun.e_(n))
-            out = out + (-term if n % 2 else term)
-    return out
+    return _z_parts_times(g, _m_power_sum, k, lambda n: -symfun.e_(n) if n % 2 else symfun.e_(n))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +285,7 @@ def _c_power_sum(k: int) -> QTScalar:
 def c_op(a: int, f: SymFun) -> SymFun:
     """C_a f = (-t)^(1-a) (f[X - (t-1)/(tz)] * sum_m z^m h_m) |_(z^a): the
     sum over j of the z^(-j) part of f[X - (t-1)/(tz)] times h_(a+j)."""
-    out = SymFun.zero("p")
-    for j, part in plethys(f, _c_power_sum).items():
-        if a + j >= 0:
-            out = out + mul(SymFun._raw("p", part), symfun.h_(a + j))
+    out = _z_parts_times(f, _c_power_sum, a, symfun.h_)
     return out.scale(QTScalar.qt_monomial((-1) ** (1 - a), 0, 1 - a))
 
 

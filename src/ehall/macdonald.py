@@ -4,7 +4,8 @@ H~_mu is built from the Haglund-Haiman-Loehr formula (J. AMS 18 (2005),
 arXiv:math/0409538): the coefficient of m_lam in H~_mu is the sum of
 q^inv(sigma) t^maj(sigma) over the fillings sigma of the diagram of mu
 with content lam (lam_1 ones, lam_2 twos, ...).  Only integer arithmetic
-is involved; the m-expansion is then converted to the s basis.
+is involved; the m-expansion is then converted to the s basis.  Only the
+mu >= mu' are filled: H~_mu'(q, t) = H~_mu(t, q).
 
 Conventions:
   * Diagram: French notation, row i (bottom row i = 1) holds the cells
@@ -26,7 +27,9 @@ Coordinates: the H~_mu are orthogonal for the *-scalar product, with
 <p_rho, p_rho>_* = (-1)^(n - l(rho)) z_rho prod_i (1 - q^rho_i)(1 - t^rho_i)
 and <H~_mu, H~_mu>_* = prod over cells (q^a - t^(l+1)) (t^l - q^(a+1))
 (Bergeron-Garsia-Haiman-Tesler, Methods Appl. Anal. 6 (1999)), so
-c_mu(f) = <f, H~_mu>_* / <H~_mu, H~_mu>_* and no matrix is inverted.
+c_mu(f) = <f, H~_mu>_* / <H~_mu, H~_mu>_* and no matrix is inverted.  The
+product is diagonal in the p basis, so the pairings with the s_lam are two
+basis changes of H~_mu, through p and back to s.
 
 nabla is a linear map over stored Schur columns keyed by (sign, lam):
 nabla s_lam = sum over mu of c_mu(s_lam) ev_mu H~_mu, built once, and
@@ -42,10 +45,10 @@ built.
 
 Since H~_mu[X; 1/q, 1/t] = t^-n(mu) q^-n(mu') omega H~_mu[X; q, t]
 (Garsia-Haiman), nabla^(-1) = omega bar(nabla) omega, where the bar sends
-q, t to 1/q, 1/t: the coefficient of s_nu' in nabla^(-1) s_lam is the bar
-of the coefficient of s_nu in nabla s_lam', a polynomial.  nabla^k applies
-the sign(k) columns |k| times, so the store holds at most 2 p(n) columns
-of degree n.  Each power step of nabla is symfun.sum_columns, the column
+q, t to 1/q, 1/t: the coefficient of s_nu' in nabla^(-1) s_lam is the
+coefficient of s_nu in nabla s_lam', a polynomial, specialized there.
+nabla^k applies the sign(k) columns |k| times, so the store holds at most
+2 p(n) columns of degree n.  Each power step of nabla is symfun.sum_columns, the column
 sum that every linear map in the package shares.  expand_in_eigenbasis,
 the H~ coordinates of any f in the field, is kept for the tests as the
 oracle of the columns.
@@ -57,8 +60,8 @@ from collections import Counter
 from functools import lru_cache, reduce
 
 from . import shapes
-from .coeffs import QT_ZERO, QTPoly, QTScalar
-from .symfun import SymFun, s_, sum_columns
+from .coeffs import QT_Q, QT_T, QT_ZERO, QTPoly, QTScalar
+from .symfun import SymFun, sum_columns
 
 
 def _reading_order(mu):
@@ -121,6 +124,12 @@ def eigenbasis(n: int):
         return {(): SymFun.one("s")}
     out = {}
     for mu in parts:
+        conj = shapes.conjugate(mu)
+        if mu < conj:
+            # H~_mu(q, t) = H~_mu'(t, q), and mu' > mu comes first
+            out[mu] = SymFun._raw("s", {lam: QTScalar._raw(_swap_qt(c.num), c.den)
+                                        for lam, c in out[conj].terms.items()})
+            continue
         h = SymFun("m", {lam: _hhl_coefficient(mu, lam) for lam in parts})
         s = h.convert("s").terms
         # keep the terms in partitions_of(n) order, which convert does not
@@ -173,26 +182,18 @@ def _star_norm(mu) -> QTScalar:
 
 @lru_cache(maxsize=None)
 def _star_pairings(n: int):
-    """mu -> {lam: <s_lam, H~_mu>_*} for every mu |- n, as QTPolys.
+    """mu -> {lam: <s_lam, H~_mu>_*} for every mu |- n, as QTPolys, each
+    row in partitions_of(n) order.
 
-    The pairings come from the Schur Gram matrix of the *-scalar product,
-    built from the p-expansions of the s_lam; all of it is polynomial.
-    Swapping q and t fixes the *-scalar product and sends H~_mu to H~_mu',
-    so the row of mu' is the swap of the row of mu: only the rows with
-    mu >= mu' are summed.
+    The *-scalar product is diagonal in the p basis, so <s_lam, f>_* is the
+    coefficient of s_lam in the sum over rho of w_rho [p_rho]f p_rho, with
+    w_rho = <p_rho, p_rho>_* / z_rho: each row is H~_mu taken to p, scaled
+    and taken back to s.  All of it is polynomial.  Swapping q and t fixes
+    the *-scalar product and sends H~_mu to H~_mu', so the row of mu' is
+    the swap of the row of mu: only the rows with mu >= mu' are converted.
     """
     parts = shapes.partitions_of(n)
-    in_p = {lam: {rho: c.as_fraction() for rho, c in s_(lam).convert("p").terms.items()}
-            for lam in parts}
-    weight = {rho: _star_norm_p(rho) for rho in parts}
-    gram = {}
-    for i, lam in enumerate(parts):
-        for nu in parts[i:]:
-            g = QTPoly()
-            for rho, c in in_p[lam].items():
-                if rho in in_p[nu]:
-                    g = g + weight[rho] * (c * in_p[nu][rho])
-            gram[lam, nu] = gram[nu, lam] = g
+    weight = {rho: QTScalar(_star_norm_p(rho)) / shapes.z_stat(rho) for rho in parts}
     out = {}
     for mu, H in eigenbasis(n).items():
         conj = shapes.conjugate(mu)
@@ -200,14 +201,9 @@ def _star_pairings(n: int):
             # mu' > mu comes first in the reverse-lexicographic order
             out[mu] = {lam: _swap_qt(g) for lam, g in out[conj].items()}
             continue
-        row = {}
-        for lam in parts:
-            g = QTPoly()
-            for nu, h in H.terms.items():
-                g = g + gram[lam, nu] * h.num
-            if g:
-                row[lam] = g
-        out[mu] = row
+        p = H.convert("p").terms
+        s = SymFun("p", {rho: c * weight[rho] for rho, c in p.items()}).convert("s").terms
+        out[mu] = {lam: s[lam].num for lam in parts if lam in s}
     return out
 
 
@@ -236,20 +232,6 @@ def nabla_eigenvalue(mu) -> QTScalar:
 
 #: the stored columns: (sign, lam) -> nabla^sign s_lam in the s basis
 _columns: dict = {}
-
-
-def _bar(c: QTScalar) -> QTScalar:
-    """c(1/q, 1/t) for a polynomial c: the exponents reversed over q^A t^B.
-
-    The reversed numerator has a term free of q and one free of t, so the
-    fraction is reduced already and its construction takes no gcd.
-    """
-    assert c.is_polynomial(), "nabla column with a non-polynomial coefficient"
-    terms = c.num.terms
-    a = max(eq for eq, _ in terms)
-    b = max(et for _, et in terms)
-    num = QTPoly({(a - eq, b - et): v for (eq, et), v in terms.items()})
-    return QTScalar(num, QTPoly.monomial(1, a, b))
 
 
 def _cancel(num: QTPoly, den: Counter, factors) -> QTPoly:
@@ -339,8 +321,8 @@ def _column(sign: int, lam: tuple) -> SymFun:
         if sign > 0:
             col = _nabla_column(lam)
         else:
-            conj = shapes.conjugate
-            col = SymFun("s", {conj(nu): _bar(c) for nu, c in _column(1, conj(lam)).terms.items()})
+            conj, bar = shapes.conjugate, {"q": QT_Q.inverse(), "t": QT_T.inverse()}
+            col = SymFun("s", {conj(nu): c.specialize(bar) for nu, c in _column(1, conj(lam)).terms.items()})
         _columns[key] = col
     return col
 

@@ -475,6 +475,18 @@ def test_kernel_heavy_outputs_match_recorded_digests():
     assert digest(theta(1, 2, s_(lam)) for lam in partitions_of(3)) == "b9811bc0f7d7cda7"
     assert digest(nabla(s_(lam), p) for p in (1, -1) for lam in partitions_of(6)) == "b17f64b9f98e70ad"
 
+    # recorded before the *-pairings became a basis change, H~_mu' the swap
+    # of H~_mu and specialization at rational values cleared their
+    # denominators: the eigenbasis up to degree 7, nabla^(+-1) s_lam for
+    # lam |- 7, and values at t = 1/q, the bar and two rational bindings
+    from ehall.macdonald import eigenbasis
+    from ehall.symfun import specialize_coeffs
+
+    assert digest(eigenbasis(n)[mu] for n in range(8) for mu in partitions_of(n)) == "2ceaecbac88473ff"
+    assert digest(nabla(s_(lam), p) for p in (1, -1) for lam in partitions_of(7)) == "742c83f467f67b95"
+    fs = [theta(1, 2, s_(lam)) for lam in partitions_of(3)] + [nabla(s_(lam), -1) for lam in partitions_of(4)]
+    assert digest(specialize_coeffs(f, b) for b in _LAURENT_BINDINGS for f in fs) == "cec5599c8d02c1c0"
+
     # recorded before plethysm became a power-sum substitution: D_k and C_a
     # on every unit of degree <= 4 in every basis, and the Bizley generators
     from ehall.ehallops import apply_D, c_op
@@ -607,35 +619,50 @@ def test_div_binomials_match_division_one_factor_at_a_time(p, planted, factors):
     _assert_int_or_proper_fraction(got)
 
 
-# -- specialization: polynomial substitution against the QTPoly.subs route --
+# -- specialization: substitution against the term-by-term field route --
+
+
+def _subs(p, vq, vt):
+    """p(vq, vt) for a QTPoly p at QTScalar values, one term at a time in
+    the field."""
+    total = QT_ZERO
+    for (eq, et), c in p.terms.items():
+        total = total + QTScalar.from_fraction(c) * vq ** eq * vt ** et
+    return total
 
 
 def _specialize_by_subs(x, bind):
     """The field route: evaluate num and den through QTScalar sums and
     products and divide."""
     vq, vt = bind.get("q", QT_Q), bind.get("t", QT_T)
-    den = x.den.subs(vq, vt)
+    den = _subs(x.den, vq, vt)
     if not den:
         raise PoleError(f"denominator vanishes under {bind}")
-    return x.num.subs(vq, vt) / den
+    return _subs(x.num, vq, vt) / den
 
 
 # integer monomials (t = 1, q = t = 1, q -> -2q with t -> 3, q -> t^2 with
-# t -> -q, q itself) take the monomial path of QTPoly.subs_poly
+# t -> -q, q itself) and their quotients by monomials (t = 1/q, the bar
+# q, t -> 1/q, 1/t) take the one-term path of QTPoly.subs_poly
 _MONOMIAL_BINDINGS = [{"t": QT_ONE}, {"q": QT_ONE, "t": QT_ONE},
                       {"q": QT_Q * -2, "t": QTScalar(3)}, {"q": QT_T * QT_T, "t": -QT_Q},
-                      {"q": QT_Q}]
-_POLY_BINDINGS = _MONOMIAL_BINDINGS + [
+                      {"q": QT_Q}, {"t": QT_Q.inverse()}, {"q": QT_Q.inverse(), "t": QT_T.inverse()}]
+# Laurent and rational values: t = 1/q and the bar take the one-term path,
+# q -> t/(1 + q) and t -> (q^2 - t)/t the row path
+_LAURENT_BINDINGS = [{"t": QT_Q.inverse()}, {"q": QT_Q.inverse(), "t": QT_T.inverse()},
+                     {"q": QT_T / (QT_ONE + QT_Q)}, {"t": (QT_Q * QT_Q - QT_T) / QT_T}]
+_BINDINGS = _MONOMIAL_BINDINGS + _LAURENT_BINDINGS[2:] + [
     {"t": QT_ONE + QT_T}, {"q": QT_T, "t": QTScalar(Fraction(2, 3))},
-    {"q": QT_T * Fraction(1, 2) + QT_ONE}]
+    {"q": QT_T * Fraction(1, 2) + QT_ONE}, {"q": QT_Q * Fraction(-3, 2) / (QT_ONE - QT_T * 2)}]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(polys, polys.filter(bool), monomials)
 def test_polynomial_specialization_matches_subs_route(a, b, mono):
-    # reduced values with Fraction coefficients, Laurent ones among them
+    # reduced values with Fraction coefficients, Laurent ones among them,
+    # at polynomial and at rational values
     for x in [QTScalar(a), QTScalar(a, b), QTScalar(a, mono), QTScalar(a, b * mono)]:
-        for bind in _POLY_BINDINGS:
+        for bind in _BINDINGS:
             try:
                 want = _specialize_by_subs(x, bind)
             except PoleError as exc:
@@ -657,19 +684,23 @@ def test_monomial_bindings_build_no_powers(monkeypatch):
     assert [x.specialize(bind).to_json() for bind in _MONOMIAL_BINDINGS] == [y.to_json() for y in want]
     # q -> -2q, t -> 3 sends q^2/2 - q t/6 to 2q^2 + q: integral again
     p = QTPoly({(2, 0): Fraction(1, 2), (1, 1): Fraction(-1, 6)})
-    value = p.subs_poly(QTPoly({(1, 0): -2}), QTPoly(3))
+    value, m, n = p.subs_poly(QT_Q * -2, QTScalar(3))
     _assert_stored_canonical(value)
-    assert value.terms == {(2, 0): 2, (1, 0): 1}
+    assert value.terms == {(2, 0): 2, (1, 0): 1} and (m, n) == (0, 0)
+    # q, t -> 1/q, 1/t: the exponents reversed over q^2 t^1
+    value, m, n = p.subs_poly(QT_Q.inverse(), QT_T.inverse())
+    assert value.terms == {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 6)} and (m, n) == (2, 1)
 
 
 def test_polynomial_specialization_pole_message():
-    x = QT_ONE / (QT_ONE - QT_T)
-    bind = {"t": QT_ONE}
-    with pytest.raises(PoleError) as want:
-        _specialize_by_subs(x, bind)
-    with pytest.raises(PoleError) as got:
-        x.specialize(bind)
-    assert str(got.value) == str(want.value)
+    # a pole at a polynomial value, and 1/(1 - qt) at t = 1/q
+    for x, bind in [(QT_ONE / (QT_ONE - QT_T), {"t": QT_ONE}),
+                    (QT_ONE / (QT_ONE - QT_Q * QT_T), {"t": QT_Q.inverse()})]:
+        with pytest.raises(PoleError) as want:
+            _specialize_by_subs(x, bind)
+        with pytest.raises(PoleError) as got:
+            x.specialize(bind)
+        assert str(got.value) == str(want.value)
 
 
 # -- the heuristic gcd against sympy's cofactors ----------------------------

@@ -148,6 +148,22 @@ def test_qt_duality():
             assert specialize_coeffs(H, swap) == basis[shapes.conjugate(mu)]
 
 
+def test_swapped_half_matches_hhl_fillings():
+    # eigenbasis fills only mu >= mu' and swaps q, t for the others: build
+    # those from the Haglund-Haiman-Loehr fillings directly
+    for n in range(1, 7):
+        parts = shapes.partitions_of(n)
+        basis = eigenbasis(n)
+        assert list(basis) == list(parts)
+        for mu in parts:
+            if mu >= shapes.conjugate(mu):
+                continue
+            h = SymFun("m", {lam: macdonald._hhl_coefficient(mu, lam) for lam in parts})
+            s = h.convert("s").terms
+            assert list(basis[mu].terms) == [lam for lam in parts if lam in s]
+            assert basis[mu].to_json() == h.convert("s").to_json(), mu
+
+
 def _count_standard_tableaux(lam):
     """f^lam by the hook length formula."""
     conj = shapes.conjugate(lam)
